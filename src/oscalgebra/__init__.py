@@ -11,14 +11,12 @@ __version__ = "0.1.0"
 from .amplitudes import ExactAmplitude
 from .fock import (
     FockOperator,
-    FockState,
     OrbitReport,
     ladder_amplitude,
     norm_condition,
     orbit,
     parity_matrix,
     relation_residuals,
-    sector_projectors,
     spectrum,
     to_matrix,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "ClosureResult",
     "ExactAmplitude",
     "FockOperator",
-    "FockState",
     "GradedElement",
     "LadderMonomial",
     "OrbitReport",
@@ -90,7 +87,6 @@ __all__ = [
     "orbit",
     "parity_matrix",
     "relation_residuals",
-    "sector_projectors",
     "spectrum",
     "standard_generators",
     "structure_constants",

@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -487,8 +488,11 @@ def main(argv: list[str] | None = None) -> int:
     if config.dim < 1:
         print("error: --dim must be at least 1", file=sys.stderr)
         return 2
-    if config.hbar_omega <= 0:
-        print("error: --hbar-omega must be positive", file=sys.stderr)
+    if not (math.isfinite(config.hbar_omega) and config.hbar_omega > 0):
+        print("error: --hbar-omega must be positive and finite", file=sys.stderr)
+        return 2
+    if not (math.isfinite(config.tolerance) and config.tolerance >= 0):
+        print("error: --tol must be non-negative and finite", file=sys.stderr)
         return 2
     dispatch = {
         "verify": cmd_verify,

@@ -5,8 +5,9 @@ A normal-ordered word acts on the number basis through
     a|n⟩ = √n |n-1⟩,      a†|n⟩ = √(n+1) |n+1⟩,
 
 so the N×N matrix of a monomial (a†)^p a^q lives on the single diagonal
-offset p-q with entries √(n!/(n-q)!)·√(m!/(n-q)!), m = n-q+p.  Stored
-entries are exact truncations of the infinite matrix; truncation error
+offset p-q with entries √(n!/(n-q)!)·√(m!/(n-q)!), m = n-q+p.  Operators
+are therefore stored by diagonal: O(bands·N) memory, O(bands²·N) products.
+Stored entries are exact truncations of the infinite matrix; truncation error
 enters only through matrix products, and only within 2·degree rows of the
 cutoff.  That gives every product check a trusted window of exact indices.
 
@@ -37,54 +38,35 @@ from .weyl import (
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense truncation of an operator to the first `dim` number states.
+    """Truncation of an operator to the first `dim` number states, stored by
+    diagonal (the DIA sparse format).
 
-    `trusted` is the count of leading indices on which products with other
-    truncations of comparable degree still reproduce the infinite-dimensional
-    algebra (entries above it can be corrupted by the cutoff).
+    `bands[d]` is the diagonal row - column = d as a length-`dim` vector
+    indexed by column n; it holds 0 wherever row n+d falls outside the
+    truncation.  Offsets without an entry are zero.  `trusted` is the count
+    of leading indices on which products with other truncations of
+    comparable degree still reproduce the infinite-dimensional algebra
+    (entries above it can be corrupted by the cutoff).
     """
 
     dim: int
-    entries: np.ndarray
+    bands: dict[int, np.ndarray]
     source_degree: int
     trusted: int
 
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense N×N view, built on demand (for tests and small dims)."""
+        dtype = np.result_type(np.float64, *self.bands.values())
+        dense = np.zeros((self.dim, self.dim), dtype=dtype)
+        for d, band in self.bands.items():
+            cols = np.arange(max(0, -d), min(self.dim, self.dim - d))
+            dense[cols + d, cols] = band[cols]
+        return dense
+
     def offsets(self) -> tuple[int, ...]:
-        """Diagonals (row - column) carrying nonzero entries."""
-        found = []
-        for off in range(-(self.dim - 1), self.dim):
-            if np.any(np.diagonal(self.entries, -off)):
-                found.append(off)
-        return tuple(found)
-
-    def apply(self, state: "FockState") -> "FockState":
-        return FockState(self.dim, self.entries @ state.amplitudes)
-
-
-@dataclass(frozen=True)
-class FockState:
-    dim: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def basis(cls, dim: int, n: int) -> "FockState":
-        if not 0 <= n < dim:
-            raise ValueError(f"basis index {n} outside [0, {dim})")
-        vec = np.zeros(dim, dtype=complex)
-        vec[n] = 1.0
-        return cls(dim, vec)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "FockState":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return FockState(self.dim, self.amplitudes / nrm)
-
-    def overlap(self, other: "FockState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        """Stored diagonals (row - column)."""
+        return tuple(sorted(self.bands))
 
 
 def _scalar_value(c: Scalar, dtype) -> float:
@@ -105,39 +87,30 @@ def to_matrix(x, dim: int, dtype=np.float64) -> FockOperator:
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     poly = as_poly(x)
-    entries = np.zeros((dim, dim), dtype=dtype)
+    bands: dict[int, np.ndarray] = {}
     for mono, coeff in poly.items():
+        columns = range(mono.q, min(dim, dim - mono.offset))
+        if not columns:
+            continue
         value = _scalar_value(coeff, dtype)
-        for n in range(mono.q, dim):
-            m = n - mono.q + mono.p
-            if m >= dim:
-                continue
+        band = bands.setdefault(mono.offset, np.zeros(dim, dtype=dtype))
+        for n in columns:
             radicand = 1
             for f in _shift_factors(mono.p, mono.q, n):
                 radicand *= f
-            entries[m, n] += value * np.sqrt(dtype(radicand))
-    degree = poly.degree
-    return FockOperator(
-        dim=dim,
-        entries=entries,
-        source_degree=degree,
-        trusted=max(dim - 2 * degree, 0),
-    )
+            band[n] += value * np.sqrt(dtype(radicand))
+    return FockOperator(dim, bands, poly.degree, max(dim - 2 * poly.degree, 0))
 
 
 def spectrum(dim: int, hbar_omega: float = 1.0) -> list[float]:
-    """Oscillator energies ħω(n+½), n < dim, read off the Hamiltonian matrix."""
+    """Oscillator energies ħω(n+½), n < dim, read off the Hamiltonian's
+    diagonal (it has no other band, so no eigensolver is involved)."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    if hbar_omega <= 0:
-        raise ValueError("ħω must be positive")
-    matrix = to_matrix(hamiltonian(), dim).entries
-    diag = np.diag(matrix)
-    if np.array_equal(matrix, np.diag(diag)):
-        eigenvalues = np.sort(diag)  # diagonal: no solver round-off
-    else:
-        eigenvalues = np.linalg.eigvalsh(matrix)
-    return [float(hbar_omega) * float(e) for e in eigenvalues]
+    if not (np.isfinite(hbar_omega) and hbar_omega > 0):
+        raise ValueError("ħω must be positive and finite")
+    diagonal = to_matrix(hamiltonian(), dim).bands[0]
+    return [float(hbar_omega) * float(e) for e in np.sort(diagonal)]
 
 
 def parity_matrix(dim: int) -> FockOperator:
@@ -148,16 +121,7 @@ def parity_matrix(dim: int) -> FockOperator:
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     signs = np.array([(-1.0) ** n for n in range(dim)])
-    return FockOperator(dim=dim, entries=np.diag(signs), source_degree=0, trusted=dim)
-
-
-def sector_projectors(dim: int) -> tuple[FockOperator, FockOperator]:
-    """½(1 ± P): orthogonal idempotents onto the even/odd number sectors."""
-    p = parity_matrix(dim).entries
-    eye = np.eye(dim)
-    plus = FockOperator(dim, (eye + p) / 2, 0, dim)
-    minus = FockOperator(dim, (eye - p) / 2, 0, dim)
-    return plus, minus
+    return FockOperator(dim=dim, bands={0: signs}, source_degree=0, trusted=dim)
 
 
 def ladder_amplitude(x, n: int) -> dict[int, ExactAmplitude]:
@@ -265,22 +229,31 @@ def orbit(seed: int, generators, dim: int) -> OrbitReport:
     )
 
 
-def band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product by convolving occupied diagonals: identical to a @ b
-    for band matrices at O(bands²·N) cost, in any dtype."""
-    n = a.shape[0]
-    out = np.zeros_like(a)
-    offs_a = [k for k in range(-(n - 1), n) if np.any(np.diagonal(a, k))]
-    offs_b = [k for k in range(-(n - 1), n) if np.any(np.diagonal(b, k))]
-    for ka in offs_a:
-        for kb in offs_b:
-            lo = max(0, -ka, -ka - kb)
-            hi = min(n, n - ka, n - ka - kb)
-            if lo >= hi:
+def diagonal_product(x: FockOperator, y: FockOperator) -> FockOperator:
+    """Matrix product x·y by convolving diagonals,
+    out[dx+dy][n] += x[dx][n+dy]·y[dy][n], at O(bands²·N) cost.
+
+    Both loops run over offsets in descending order.  That fixes the order
+    in which each entry sums its terms, and with it the last bits of every
+    residual built from these products.
+    """
+    dim = x.dim
+    out: dict[int, np.ndarray] = {}
+    for dx in sorted(x.bands, reverse=True):
+        for dy in sorted(y.bands, reverse=True):
+            d = dx + dy
+            if abs(d) >= dim:
                 continue
-            rows = np.arange(lo, hi)
-            out[rows, rows + ka + kb] += a[rows, rows + ka] * b[rows + ka, rows + ka + kb]
-    return out
+            lo, hi = max(0, -dy), min(dim, dim - dy)
+            band = out.setdefault(d, np.zeros_like(y.bands[dy]))
+            band[lo:hi] += x.bands[dx][lo + dy : hi + dy] * y.bands[dy][lo:hi]
+    degree = x.source_degree + y.source_degree
+    return FockOperator(dim, out, degree, max(dim - 2 * degree, 0))
+
+
+def _combine(x: dict, y: dict, op) -> dict[int, np.ndarray]:
+    """op(x, y) band by band over the union of offsets; a missing band is 0."""
+    return {d: op(x.get(d, 0), y.get(d, 0)) for d in x.keys() | y.keys()}
 
 
 def relation_residuals(dim: int, tolerance: float = 1e-12) -> VerificationReport:
@@ -303,29 +276,34 @@ def relation_residuals(dim: int, tolerance: float = 1e-12) -> VerificationReport
             f"need dim ≥ {max_margin + 1}"
         )
     dtype = np.longdouble
-    cache: dict[WeylPolynomial, np.ndarray] = {}
+    cache: dict[WeylPolynomial, FockOperator] = {}
 
-    def matrix(poly: WeylPolynomial) -> np.ndarray:
+    def matrix(poly: WeylPolynomial) -> FockOperator:
         if poly not in cache:
-            cache[poly] = to_matrix(poly, dim, dtype).entries
+            cache[poly] = to_matrix(poly, dim, dtype)
         return cache[poly]
+
+    def product(x: WeylPolynomial, y: WeylPolynomial) -> dict[int, np.ndarray]:
+        return diagonal_product(matrix(x), matrix(y)).bands
 
     report = VerificationReport()
     for rel in relations:
-        if rel.kind == "commutator":
-            x, y = (matrix(op) for op in rel.operands)
-            lhs = band_product(x, y) - band_product(y, x)
-        elif rel.kind == "anticommutator":
-            x, y = (matrix(op) for op in rel.operands)
-            lhs = band_product(x, y) + band_product(y, x)
-        else:  # quadratic invariant
-            kp, km, k3 = (matrix(op) for op in rel.operands)
-            lhs = (band_product(kp, km) + band_product(km, kp)) / dtype(2)
-            lhs = lhs - band_product(k3, k3)
-        diff = np.abs(lhs - matrix(rel.rhs))
+        if rel.kind == "casimir":
+            kp, km, k3 = rel.operands
+            sym = _combine(product(kp, km), product(km, kp), np.add)
+            half = {d: band / dtype(2) for d, band in sym.items()}
+            lhs = _combine(half, product(k3, k3), np.subtract)
+        else:
+            x, y = rel.operands
+            op = np.subtract if rel.kind == "commutator" else np.add
+            lhs = _combine(product(x, y), product(y, x), op)
+        diff = _combine(lhs, matrix(rel.rhs).bands, np.subtract)
+        diff = {d: np.abs(band) for d, band in diff.items()}
         t = dim - rel.window_margin
-        window_residual = float(diff[:t, :t].max())
-        full_residual = float(diff.max())
+        # on diagonal d, the t×t window holds columns [max(0, -d), min(t, t - d))
+        window = (b[max(0, -d) : max(min(t, t - d), 0)] for d, b in diff.items())
+        window_residual = float(max((w.max(initial=0) for w in window), default=0))
+        full_residual = float(max((b.max() for b in diff.values()), default=0))
         report.checks.append(
             numeric_check(
                 rel.name,

@@ -42,8 +42,7 @@ class Relation:
         if self.kind == "anticommutator":
             x, y = self.operands
             return anticommutator(x, y)
-        kp, km, k3 = self.operands
-        return (kp * km + km * kp).scaled(Fraction(1, 2)) - k3 * k3
+        return casimir()
 
     def residual_poly(self) -> WeylPolynomial:
         return self.lhs() - self.rhs

@@ -55,6 +55,13 @@ def test_verify_json_deterministic(capsys):
     assert first == second
 
 
+def test_verify_rejects_bad_tol(capsys):
+    for bad in ("nan", "-1"):
+        code, out, _ = run_cli(capsys, "verify", "--dim", "16", "--tol", bad)
+        assert code == 2
+        assert out == ""
+
+
 def test_verify_rejects_empty_window(capsys):
     code, _, err = run_cli(capsys, "verify", "--dim", "6")
     assert code == 2
@@ -220,8 +227,10 @@ def test_spectrum_scaled_json(capsys):
 
 
 def test_spectrum_rejects_bad_hbar_omega(capsys):
-    code, _, _ = run_cli(capsys, "spectrum", "--hbar-omega", "-1")
-    assert code == 2
+    for bad in ("-1", "nan", "inf"):
+        code, out, _ = run_cli(capsys, "spectrum", "--hbar-omega", bad)
+        assert code == 2
+        assert out == ""
 
 
 # -- name resolution ----------------------------------------------------------------

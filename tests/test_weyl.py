@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -219,3 +221,36 @@ def test_product_parity_is_mod2_sum(x, y):
     product = x.poly * y.poly
     if not product.is_zero:
         assert product.parity() == (x.parity + y.parity) % 2
+
+
+def test_product_matches_sympy_normal_ordering():
+    # independent oracle: sympy's boson normal ordering of the same random words
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.quantum import Dagger
+    from sympy.physics.quantum.boson import BosonOp
+    from sympy.physics.quantum.operatorordering import normal_ordered_form
+
+    a = BosonOp("a")
+    rng = random.Random(1203)
+    for _ in range(40):  # a degree-8 word costs sympy up to ~50 ms
+        # halves leaning to a…a·a†…a†, the order in which contractions pile up
+        left = rng.choices((A, ADAG), weights=(3, 1), k=rng.randint(0, 4))
+        right = rng.choices((A, ADAG), weights=(1, 3), k=rng.randint(0, 4))
+        product = reduce(mul, left, IDENTITY) * reduce(mul, right, IDENTITY)
+
+        word = left + right
+        expr = sympy.Mul(*(a if letter is A else Dagger(a) for letter in word))
+        ordered = normal_ordered_form(sympy.expand(expr), recursive_limit=100)
+        expected: dict[tuple[int, int], Fraction] = {}
+        for term in sympy.Add.make_args(ordered):
+            coeff, p, q = Fraction(1), 0, 0
+            for factor in sympy.Mul.make_args(term):
+                base, exp = factor.as_base_exp()
+                if base.is_number:
+                    coeff *= Fraction(int(factor.p), int(factor.q))
+                elif base.is_annihilation:
+                    q += int(exp)
+                else:
+                    p += int(exp)
+            expected[(p, q)] = expected.get((p, q), 0) + coeff
+        assert product == WeylPolynomial(expected)
