@@ -44,6 +44,9 @@ from .superalgebra import (
 from .weyl import GradedElement, casimir, named_constants
 
 REPORT_VERSION = 1
+# Largest accepted --dim: banded storage keeps memory O(dim), and 10⁶ is the
+# largest truncation the numeric suite is meant to reach.
+DIM_LIMIT = 1_000_000
 
 GENERATOR_SETS = {
     "so21": ("K+", "K-", "K3"),
@@ -417,7 +420,9 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, default=64, help="truncation dimension")
+    parser.add_argument(
+        "--dim", type=int, default=64, help=f"truncation dimension, at most {DIM_LIMIT}"
+    )
     parser.add_argument(
         "--hbar-omega", type=float, default=1.0, help="energy quantum ħω"
     )
@@ -485,8 +490,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
-    if config.dim < 1:
-        print("error: --dim must be at least 1", file=sys.stderr)
+    if not 1 <= config.dim <= DIM_LIMIT:
+        print(f"error: --dim must be between 1 and {DIM_LIMIT}", file=sys.stderr)
         return 2
     if not (math.isfinite(config.hbar_omega) and config.hbar_omega > 0):
         print("error: --hbar-omega must be positive and finite", file=sys.stderr)

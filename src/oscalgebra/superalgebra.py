@@ -1,21 +1,25 @@
 """Graded-basis bookkeeping: bracket closure, structure constants, Jacobi.
 
-All linear algebra runs over the exact coefficient field Q(√½), with
-coordinates taken in the (total degree, creation exponent) monomial order,
-so span decisions are deterministic: no numeric rank thresholds anywhere.
+All linear algebra runs through one incremental echelon over the exact
+coefficient field Q(√½), with rows keyed by leading monomial in the (total
+degree, creation exponent) order, so span decisions are deterministic: no
+numeric rank thresholds anywhere.  Bracket closure keeps one echelon across
+all sweeps and brackets only the pairs that involve an element new since the
+previous sweep, reducing each bracket once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .report import VerificationReport, symbolic_check
-from .scalar import Scalar
+from .scalar import ZERO, Scalar
 from .weyl import (
     ODD,
     GradedElement,
+    LadderMonomial,
     WeylPolynomial,
     _canonical_key,
     canonical_name,
@@ -48,69 +52,67 @@ class ClosureOverflowError(RuntimeError):
 # -- exact linear algebra ------------------------------------------------------
 
 
-def _coordinates(polys: Sequence[WeylPolynomial]) -> list[list[Scalar]]:
-    """Coordinate columns of the given polynomials over their joint monomials."""
-    monomials = sorted({m for p in polys for m in p.terms}, key=_canonical_key)
-    return [[p.coefficient(*m) for m in monomials] for p in polys]
+class Echelon:
+    """Incremental row echelon form over Q(√½), keyed by leading monomial.
 
-
-def _solve_exact(
-    columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]
-) -> list[Scalar] | None:
-    """Solve Σ cⱼ·columns[j] = target by Gauss-Jordan elimination over Q(√½).
-
-    Pivots on the first nonzero coordinate of each column; returns None when
-    the target lies outside the span.
+    Each row is normalised to leading coefficient 1, its leading monomial is
+    the largest in `_canonical_key` order, and no two rows share one; so any
+    nonzero element of the span leads with some row's monomial.  Each row
+    also carries its expansion in the inserted polynomials, so the reduction
+    that decides membership also yields the exact span coefficients.
     """
-    n_rows = len(target)
-    n_cols = len(columns)
-    rows = [[col[r] for col in columns] + [target[r]] for r in range(n_rows)]
-    pivots: list[tuple[int, int]] = []
-    front = 0
-    for c in range(n_cols):
-        pivot_row = next((r for r in range(front, n_rows) if rows[r][c]), None)
-        if pivot_row is None:
-            continue
-        rows[front], rows[pivot_row] = rows[pivot_row], rows[front]
-        inv = rows[front][c].inverse()
-        rows[front] = [x * inv for x in rows[front]]
-        for r in range(n_rows):
-            if r != front and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[front])]
-        pivots.append((front, c))
-        front += 1
-        if front == n_rows:
-            break
-    pivot_rows = {r for r, _ in pivots}
-    for r in range(n_rows):
-        if r not in pivot_rows and rows[r][n_cols]:
+
+    def __init__(self):
+        # lead -> (terms, {insertion index: coefficient})
+        self._rows: dict[LadderMonomial, tuple[dict, dict[int, Scalar]]] = {}
+
+    def _reduce(self, poly: WeylPolynomial):
+        """Subtract rows from poly, largest leading monomial first, until it
+        vanishes or leads with a monomial no row has.  Returns the remainder,
+        its leading monomial (None if zero) and the (factor, row) pairs used."""
+        rest = dict(poly.items())
+        used = []
+        while rest:
+            lead = max(rest, key=_canonical_key)
+            row = self._rows.get(lead)
+            if row is None:
+                return rest, lead, used
+            factor = rest[lead]
+            used.append((factor, row))
+            for mono, c in row[0].items():
+                s = rest.get(mono, ZERO) - factor * c
+                if s:
+                    rest[mono] = s
+                else:
+                    del rest[mono]
+        return rest, None, used
+
+    @staticmethod
+    def _combine(used, size: int) -> list[Scalar]:
+        coeffs = [ZERO] * size
+        for factor, (_, expansion) in used:
+            for k, c in expansion.items():
+                coeffs[k] = coeffs[k] + factor * c
+        return coeffs
+
+    def add(self, poly: WeylPolynomial) -> bool:
+        """Insert poly; False (and no change) if it already lies in the span."""
+        rest, lead, used = self._reduce(poly)
+        if lead is None:
+            return False
+        n = len(self._rows)
+        inv = rest[lead].inverse()
+        expansion = {k: -c * inv for k, c in enumerate(self._combine(used, n)) if c}
+        expansion[n] = inv
+        self._rows[lead] = ({m: c * inv for m, c in rest.items()}, expansion)
+        return True
+
+    def coefficients(self, poly: WeylPolynomial) -> list[Scalar] | None:
+        """Expansion of poly in the inserted polynomials, or None if outside."""
+        rest, _, used = self._reduce(poly)
+        if rest:
             return None
-    coeffs = [Scalar(0)] * n_cols
-    for r, c in pivots:
-        coeffs[c] = rows[r][n_cols]
-    return coeffs
-
-
-def _rank(columns: Sequence[Sequence[Scalar]]) -> int:
-    if not columns:
-        return 0
-    n_rows = len(columns[0])
-    rows = [[col[r] for col in columns] for r in range(n_rows)]
-    rank = 0
-    for c in range(len(columns)):
-        pivot_row = next((r for r in range(rank, n_rows) if rows[r][c]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][c].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(rank + 1, n_rows):
-            if rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        return self._combine(used, len(self._rows))
 
 
 # -- bases --------------------------------------------------------------------
@@ -121,13 +123,16 @@ class AlgebraBasis:
     """Ordered, named, exactly-independent graded elements."""
 
     elements: tuple[tuple[str, GradedElement], ...]
+    _echelon: Echelon = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.elements]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate basis names: {names}")
-        if _rank(_coordinates([e.poly for _, e in self.elements])) != len(names):
+        echelon = Echelon()
+        if not all(echelon.add(e.poly) for _, e in self.elements):
             raise ValueError("basis elements are linearly dependent")
+        object.__setattr__(self, "_echelon", echelon)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -148,14 +153,7 @@ class AlgebraBasis:
 
     def span_coefficients(self, poly: WeylPolynomial) -> list[Scalar] | None:
         """Expansion of poly in this basis, or None if outside the span."""
-        basis_polys = self.polys()
-        monomials = sorted(
-            {m for p in basis_polys for m in p.terms} | set(poly.terms),
-            key=_canonical_key,
-        )
-        columns = [[p.coefficient(*m) for m in monomials] for p in basis_polys]
-        target = [poly.coefficient(*m) for m in monomials]
-        return _solve_exact(columns, target)
+        return self._echelon.coefficients(poly)
 
     def contains(self, poly: WeylPolynomial) -> bool:
         return self.span_coefficients(poly) is not None
@@ -169,7 +167,7 @@ class AlgebraBasis:
 @dataclass(frozen=True)
 class ClosureResult:
     basis: AlgebraBasis
-    generations: int  # full pair sweeps until a sweep added nothing
+    generations: int  # pair sweeps until a sweep added nothing
     added: tuple[str, ...]
 
 
@@ -206,7 +204,8 @@ def close_under_bracket(
         raise ValueError("empty seed")
     if max_dim < len(elements):
         raise ValueError(f"max_dim={max_dim} is below the seed size {len(elements)}")
-    if _rank(_coordinates([e.poly for e in elements])) != len(elements):
+    echelon = Echelon()
+    if not all(echelon.add(e.poly) for e in elements):
         raise ValueError("seed elements are linearly dependent")
 
     reference = named_constants()
@@ -231,25 +230,19 @@ def close_under_bracket(
 
     added: list[str] = []
     generations = 0
+    done = 0  # pairs within the first `done` elements were bracketed before
     while True:
         generations += 1
         snapshot = list(named)
         grew = False
         for i, j in itertools.combinations_with_replacement(range(len(snapshot)), 2):
+            if j < done:
+                continue  # already inside the span, or added to it
             xi, xj = snapshot[i][1], snapshot[j][1]
             if i == j and not (mode == GRADED and xi.parity == ODD):
                 continue  # [x, x] = 0; only {x, x} can produce anything
             result = _bracket_in_mode(xi, xj, mode)
-            if result.poly.is_zero:
-                continue
-            basis_now = [e.poly for _, e in named]
-            monomials = sorted(
-                {m for p in basis_now for m in p.terms} | set(result.poly.terms),
-                key=_canonical_key,
-            )
-            columns = [[p.coefficient(*m) for m in monomials] for p in basis_now]
-            target = [result.poly.coefficient(*m) for m in monomials]
-            if _solve_exact(columns, target) is not None:
+            if not echelon.add(result.poly):
                 continue
             if len(named) + 1 > max_dim:
                 raise ClosureOverflowError(max_dim, [n for n, _ in named])
@@ -259,6 +252,7 @@ def close_under_bracket(
             grew = True
         if not grew:
             break
+        done = len(snapshot)
     return ClosureResult(
         basis=AlgebraBasis(tuple(named)),
         generations=generations,

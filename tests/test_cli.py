@@ -62,6 +62,14 @@ def test_verify_rejects_bad_tol(capsys):
         assert out == ""
 
 
+def test_dim_above_limit_rejected(capsys):
+    for command in ("verify", "orbit", "spectrum"):
+        code, out, err = run_cli(capsys, command, "--dim", "1000001")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_verify_rejects_empty_window(capsys):
     code, _, err = run_cli(capsys, "verify", "--dim", "6")
     assert code == 2

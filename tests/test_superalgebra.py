@@ -1,9 +1,12 @@
+import collections
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from oscalgebra import superalgebra
 from oscalgebra.scalar import Scalar
 from oscalgebra.superalgebra import (
     AlgebraBasis,
@@ -15,8 +18,10 @@ from oscalgebra.superalgebra import (
 )
 from oscalgebra.weyl import (
     EVEN,
+    ZERO,
     GradedElement,
     IDENTITY,
+    WeylPolynomial,
     monomial,
     standard_generators,
 )
@@ -123,6 +128,83 @@ def test_generations_counting(gens):
     assert grown.generations == 2  # everything appears in the first sweep
 
 
+# Higher-degree seeds, the benchmark's closure workload: overflow names and
+# the closed basis are pinned exactly, so any change to a span decision shows.
+
+CUBIC_OVERFLOW_24 = (
+    "G0 G1 G2 G3 G4 G5 G6 G7 G8 G9 G10 G11 G12 G13 G14 G15 G16 G17 G18 G19 "
+    "G20 G21 G22 G23"
+).split()
+CUBIC_OVERFLOW_40 = CUBIC_OVERFLOW_24 + (
+    "G24 G25 G26 G27 G28 G29 G30 G31 G32 G33 G34 G35 G36 G37 G38 G39"
+).split()
+DEGREE_16_BASIS = [
+    ("G0", "a†¹⁶"),
+    ("Q", "a"),
+    ("G1", "-16·a†¹⁵"),
+    ("G2", "-240·a†¹⁴"),
+    ("G3", "-3360·a†¹³"),
+    ("G4", "-43680·a†¹²"),
+    ("G5", "-524160·a†¹¹"),
+    ("G6", "-5765760·a†¹⁰"),
+    ("G7", "-57657600·a†⁹"),
+    ("G8", "-518918400·a†⁸"),
+    ("G9", "-4151347200·a†⁷"),
+    ("G10", "-29059430400·a†⁶"),
+    ("G11", "-174356582400·a†⁵"),
+    ("G12", "-871782912000·a†⁴"),
+    ("G13", "-3487131648000·a†³"),
+    ("K+", "1/2·a†²"),
+    ("Q†", "1/2·√2·a†"),
+    ("1", "1"),
+]
+
+
+@pytest.mark.parametrize(
+    "max_dim, names", [(24, CUBIC_OVERFLOW_24), (40, CUBIC_OVERFLOW_40)]
+)
+def test_cubic_seed_overflow_names(max_dim, names):
+    with pytest.raises(ClosureOverflowError) as info:
+        close_under_bracket([monomial(3, 0), monomial(0, 3)], "graded", max_dim)
+    assert info.value.names == names
+
+
+def test_degree_16_seed_commutator_closure():
+    result = close_under_bracket([monomial(16, 0), monomial(0, 1)], "commutator-only", 24)
+    assert result.basis.dim == 18
+    assert result.generations == 17
+    assert result.added == tuple(name for name, _ in DEGREE_16_BASIS[2:])
+    assert [(name, str(e.poly)) for name, e in result.basis] == DEGREE_16_BASIS
+
+
+# Work count: a pair bracketed in one sweep is already inside the span in the
+# next, so no pair is bracketed twice.
+
+
+@pytest.mark.parametrize(
+    "seed, mode",
+    [
+        (("K3", "Q", "Q†"), "graded"),
+        (("Q", "Q†"), "graded"),
+        ((monomial(16, 0), monomial(0, 1)), "commutator-only"),
+    ],
+    ids=["minimal", "Q,Qdag", "a16,a"],
+)
+def test_closure_brackets_each_pair_once(gens, monkeypatch, seed, mode):
+    calls = collections.Counter()
+    original = superalgebra._bracket_in_mode
+
+    def counting(x, y, bracket_mode):
+        calls[frozenset((x, y))] += 1
+        return original(x, y, bracket_mode)
+
+    monkeypatch.setattr(superalgebra, "_bracket_in_mode", counting)
+    seed = [gens[s] if isinstance(s, str) else s for s in seed]
+    result = close_under_bracket(seed, mode, 24)
+    assert result.generations > 1
+    assert calls and max(calls.values()) == 1
+
+
 # -- basis validation ------------------------------------------------------------
 
 
@@ -145,6 +227,108 @@ def test_span_coefficients_exact(gens, osp_basis):
         Scalar(0),
     ]
     assert osp_basis.span_coefficients(monomial(3, 0)) is None
+
+
+def test_span_edge_cases(gens, osp_basis):
+    empty = AlgebraBasis(())
+    assert empty.span_coefficients(ZERO) == []
+    assert empty.span_coefficients(IDENTITY) is None
+    assert osp_basis.span_coefficients(ZERO) == [Scalar(0)] * 5
+    zero = GradedElement(ZERO, EVEN)
+    with pytest.raises(ValueError):
+        AlgebraBasis((("Z", zero),))
+    with pytest.raises(ValueError):
+        AlgebraBasis((("Q", gens["Q"]), ("Z", zero)))
+    with pytest.raises(ValueError):
+        close_under_bracket([zero], "graded", 8)
+    with pytest.raises(ValueError):
+        close_under_bracket([gens["Q"], zero], "graded", 8)
+
+
+# Independent oracle: sympy's exact rank decides independence, and the
+# coefficients are checked by rebuilding the polynomial.
+
+_SMALL = [Fraction(k, d) for k in range(-2, 3) for d in (1, 2)]
+
+
+def _random_scalar(rng):
+    return Scalar(rng.choice(_SMALL), rng.choice(_SMALL))
+
+
+def _random_element(rng):
+    # parity-homogeneous, degree <= 6, a few terms drawn from a small pool so
+    # that accidental dependence occurs
+    parity = rng.randrange(2)
+    pool = [(p, d - p) for d in range(parity, 7, 2) for p in range(d + 1)]
+    terms = {m: _random_scalar(rng) for m in rng.sample(pool, rng.randint(1, 3))}
+    return GradedElement(WeylPolynomial(terms), parity)
+
+
+def _combination(coeffs, elements):
+    total = ZERO
+    for c, e in zip(coeffs, elements):
+        total = total + e.poly.scaled(c)
+    return total
+
+
+def _sympy_rank(sympy, elements):
+    monos = sorted({m for e in elements for m in e.poly.terms})
+    if not monos:
+        return 0
+
+    def exact(c):
+        return sympy.Rational(c.a) + sympy.Rational(c.b) * sympy.sqrt(2) / 2
+
+    matrix = sympy.Matrix(
+        [[exact(e.poly.coefficient(*m)) for m in monos] for e in elements]
+    )
+    return matrix.rank(iszerofunc=lambda x: sympy.expand(x) == 0)
+
+
+def test_independence_matches_sympy_rank():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261017)
+    verdicts = set()
+    for _ in range(60):
+        elements = [_random_element(rng) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            # append an exact combination of some of them
+            parity = elements[0].parity
+            same = [e for e in elements if e.parity == parity]
+            coeffs = [_random_scalar(rng) for _ in same]
+            elements.append(GradedElement(_combination(coeffs, same), parity))
+        independent = _sympy_rank(sympy, elements) == len(elements)
+        named = tuple((f"E{k}", e) for k, e in enumerate(elements))
+        try:
+            AlgebraBasis(named)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == independent, [str(e) for e in elements]
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
+def test_span_coefficients_reconstruct_random_combinations():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(60):
+        elements = [_random_element(rng) for _ in range(rng.randint(1, 6))]
+        try:
+            basis = AlgebraBasis(tuple((f"E{k}", e) for k, e in enumerate(elements)))
+        except ValueError:
+            continue
+        coeffs = [_random_scalar(rng) for _ in elements]
+        poly = _combination(coeffs, elements)
+        found = basis.span_coefficients(poly)
+        assert found == coeffs
+        assert _combination(found, elements) == poly
+        # degree 7 lies beyond every basis element
+        p = rng.randint(0, 7)
+        outside = poly + monomial(p, 7 - p)
+        assert basis.span_coefficients(outside) is None
+        checked += 1
+    assert checked >= 30
 
 
 # -- structure constants ------------------------------------------------------------
