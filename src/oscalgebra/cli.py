@@ -7,6 +7,13 @@ Subcommands
     structure  the graded structure-constant table of the five generators
     spectrum   per-level table: energy, K3 eigenvalue, parity, norms
 
+Each subcommand is a pure function ``RunConfig -> (payload, text, status)``;
+``COMMANDS`` lists it with its help string and the options it reads, and the
+parser is built from that table.  ``main`` is the single emit point: it
+validates options, maps ``ClosureOverflowError`` to status 1 and
+``ValueError`` to status 2, and prints either the text or the one JSON
+envelope ``{"version", "config", **payload}``.
+
 Reports are deterministic: the same configuration yields byte-identical
 output, and JSON output parses back into the report model.
 """
@@ -18,6 +25,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -33,8 +41,10 @@ from .report import (
     informational,
     symbolic_check,
 )
-from .scalar import Scalar
 from .superalgebra import (
+    ANTICOMMUTATOR,
+    COMMUTATOR_ONLY,
+    GRADED,
     AlgebraBasis,
     ClosureOverflowError,
     close_under_bracket,
@@ -101,6 +111,17 @@ def resolve_generators(selector: str) -> dict[str, GradedElement]:
     return {name: table[name] for name in resolve_generator_names(selector)}
 
 
+def _osp_basis() -> AlgebraBasis:
+    """The five generators K+, K-, K3, Q, Q† as one graded basis."""
+    return AlgebraBasis(tuple(resolve_generators("osp").items()))
+
+
+_PARITY_NAMES = ("even", "odd")  # indexed by GradedElement.parity
+
+# what every cmd_* returns: (JSON payload, text as a str or lines, exit status)
+CommandResult = tuple[dict, str | list[str], int]
+
+
 # -- verify -----------------------------------------------------------------
 
 
@@ -125,15 +146,12 @@ def build_verify_report(config: RunConfig) -> VerificationReport:
     if kappa.is_rational:
         report.casimir_eigenvalue = kappa.as_fraction()
 
-    gens = named_constants()
-    osp_basis = AlgebraBasis(
-        tuple((n, gens[n]) for n in GENERATOR_SETS["osp"])
-    )
-    report.extend(graded_jacobi_check(osp_basis))
+    osp = _osp_basis()
+    report.extend(graded_jacobi_check(osp))
 
     report.extend(relation_residuals(config.dim, config.tolerance))
 
-    amp = ladder_amplitude(gens["K+"], 0)[2]
+    amp = ladder_amplitude(dict(osp)["K+"], 0)[2]
     report.checks.append(
         informational(
             "raising amplitude convention",
@@ -155,8 +173,10 @@ def build_verify_report(config: RunConfig) -> VerificationReport:
     return report
 
 
-def _render_checks_text(report: VerificationReport, lines: list[str]) -> None:
+def cmd_verify(config: RunConfig) -> CommandResult:
+    report = build_verify_report(config)
     mark = {PASS: "PASS", FAIL: "FAIL", INFORMATIONAL: "INFO"}
+    lines = [f"ladder-algebra verification  dim={config.dim}  tol={config.tolerance:g}", ""]
     for check in report.checks:
         if check.exact:
             res = "0 (exact)"
@@ -165,92 +185,42 @@ def _render_checks_text(report: VerificationReport, lines: list[str]) -> None:
         else:
             res = "-"
         line = f"[{mark[check.status]}] {check.name:<24} {res:>10}"
-        if check.detail:
-            line += f"  {check.detail}"
-        lines.append(line)
-
-
-def cmd_verify(config: RunConfig) -> int:
-    try:
-        report = build_verify_report(config)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if config.output_format == "json":
-        envelope = {
-            "version": REPORT_VERSION,
-            "config": asdict(config),
-            **report.as_dict(),
-        }
-        print(json.dumps(envelope, indent=2))
-    else:
-        lines = [
-            f"ladder-algebra verification  dim={config.dim}  tol={config.tolerance:g}",
-            "",
-        ]
-        _render_checks_text(report, lines)
-        n_pass, n_fail, n_info = report.counts()
-        lines.append("")
-        lines.append(f"casimir eigenvalue: {report.casimir_eigenvalue}")
-        lines.append(f"summary: {n_pass} passed, {n_fail} failed, {n_info} informational")
-        print("\n".join(lines))
-    return 0 if report.passed else 1
+        lines.append(f"{line}  {check.detail}" if check.detail else line)
+    n_pass, n_fail, n_info = report.counts()
+    lines += [
+        "",
+        f"casimir eigenvalue: {report.casimir_eigenvalue}",
+        f"summary: {n_pass} passed, {n_fail} failed, {n_info} informational",
+    ]
+    return report.as_dict(), lines, 0 if report.passed else 1
 
 
 # -- closure ------------------------------------------------------------------
 
 
-def cmd_closure(config: RunConfig) -> int:
-    try:
-        gens = resolve_generators(config.generator_set)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        result = close_under_bracket(
-            gens.values(), mode=config.mode, max_dim=config.max_dim
-        )
-    except ClosureOverflowError as err:
-        print(f"not closed: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-    if config.output_format == "json":
-        envelope = {
-            "version": REPORT_VERSION,
-            "config": asdict(config),
-            "closure": {
-                "seed": list(gens),
-                "mode": config.mode,
-                "dimension": result.basis.dim,
-                "generations": result.generations,
-                "added": list(result.added),
-                "basis": [
-                    {
-                        "name": name,
-                        "parity": "even" if elem.parity == 0 else "odd",
-                        "polynomial": str(elem.poly),
-                    }
-                    for name, elem in result.basis
-                ],
-            },
-        }
-        print(json.dumps(envelope, indent=2))
-    else:
-        seed_names = ", ".join(gens)
-        lines = [
-            f"bracket closure of {{{seed_names}}}  mode={config.mode}  max_dim={config.max_dim}",
-            f"dimension: {result.basis.dim}   sweeps: {result.generations}",
-            "added by closure: " + (", ".join(result.added) if result.added else "nothing"),
-            "basis:",
-        ]
-        for name, elem in result.basis:
-            tag = "even" if elem.parity == 0 else "odd"
-            lines.append(f"  {name:<4} {tag:<5} {elem.poly}")
-        print("\n".join(lines))
-    return 0
+def cmd_closure(config: RunConfig) -> CommandResult:
+    gens = resolve_generators(config.generator_set)
+    result = close_under_bracket(gens.values(), mode=config.mode, max_dim=config.max_dim)
+    basis = [
+        {"name": name, "parity": _PARITY_NAMES[elem.parity], "polynomial": str(elem.poly)}
+        for name, elem in result.basis
+    ]
+    payload = {
+        "seed": list(gens),
+        "mode": config.mode,
+        "dimension": result.basis.dim,
+        "generations": result.generations,
+        "added": list(result.added),
+        "basis": basis,
+    }
+    lines = [
+        f"bracket closure of {{{', '.join(gens)}}}  mode={config.mode}  max_dim={config.max_dim}",
+        f"dimension: {result.basis.dim}   sweeps: {result.generations}",
+        "added by closure: " + (", ".join(result.added) or "nothing"),
+        "basis:",
+        *(f"  {b['name']:<4} {b['parity']:<5} {b['polynomial']}" for b in basis),
+    ]
+    return {"closure": payload}, lines, 0
 
 
 # -- orbit ---------------------------------------------------------------------
@@ -271,168 +241,124 @@ def _format_block(block: tuple[int, ...]) -> str:
     return f"{head}, … ({len(block)} states)"
 
 
-def cmd_orbit(config: RunConfig) -> int:
-    try:
-        gens = resolve_generators(config.generator_set)
-        report = orbit(config.seed_state, gens, config.dim)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-    if config.output_format == "json":
-        envelope = {
-            "version": REPORT_VERSION,
-            "config": asdict(config),
-            "orbits": {
-                "seed": report.seed,
-                "generators": list(report.generator_names),
-                "window": report.window,
-                "reachable": list(report.reachable),
-                "partition": [list(b) for b in report.partition],
-            },
-        }
-        print(json.dumps(envelope, indent=2))
-    else:
-        lines = [
-            f"orbit analysis  set={{{', '.join(report.generator_names)}}}"
-            f"  seed={report.seed}  dim={config.dim}  window={report.window}",
-            f"reachable from |{report.seed}⟩: {len(report.reachable)} states"
-            f" ({_block_label(report.reachable)})",
-            f"partition of the window: {report.orbit_count} orbit"
-            + ("s" if report.orbit_count != 1 else ""),
-        ]
-        for idx, block in enumerate(report.partition, start=1):
-            lines.append(
-                f"  orbit {idx}: {len(block)} states ({_block_label(block)}): "
-                f"{_format_block(block)}"
-            )
-        print("\n".join(lines))
-    return 0
+def cmd_orbit(config: RunConfig) -> CommandResult:
+    gens = resolve_generators(config.generator_set)
+    report = orbit(config.seed_state, gens, config.dim)
+    payload = {
+        "seed": report.seed,
+        "generators": list(report.generator_names),
+        "window": report.window,
+        "reachable": list(report.reachable),
+        "partition": [list(b) for b in report.partition],
+    }
+    lines = [
+        f"orbit analysis  set={{{', '.join(report.generator_names)}}}"
+        f"  seed={report.seed}  dim={config.dim}  window={report.window}",
+        f"reachable from |{report.seed}⟩: {len(report.reachable)} states"
+        f" ({_block_label(report.reachable)})",
+        f"partition of the window: {report.orbit_count} orbit"
+        + ("s" if report.orbit_count != 1 else ""),
+        *(
+            f"  orbit {idx}: {len(block)} states ({_block_label(block)}): {_format_block(block)}"
+            for idx, block in enumerate(report.partition, start=1)
+        ),
+    ]
+    return {"orbits": payload}, lines, 0
 
 
 # -- structure constants -----------------------------------------------------------
 
 
-def _combination(coeffs, names) -> str:
-    parts = []
-    for c, name in zip(coeffs, names):
-        if c.is_zero:
-            continue
-        if c == Scalar(1):
-            parts.append(name)
-        elif c == Scalar(-1):
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{c}·{name}")
+def _combination(coefficients: dict[str, str]) -> str:
+    unit = {"1": "", "-1": "-"}
+    parts = [f"{unit.get(c, f'{c}·')}{name}" for name, c in coefficients.items()]
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def cmd_structure(config: RunConfig) -> int:
-    gens = named_constants()
-    basis = AlgebraBasis(tuple((n, gens[n]) for n in GENERATOR_SETS["osp"]))
-    sc = structure_constants(basis)
-
-    if config.output_format == "json":
-        tensor = {}
-        for i, ni in enumerate(sc.names):
-            row = {}
-            for j, nj in enumerate(sc.names):
-                entries = {
-                    nk: str(sc.tensor[i][j][k])
-                    for k, nk in enumerate(sc.names)
-                    if not sc.tensor[i][j][k].is_zero
-                }
-                row[nj] = {"kind": sc.kinds[i][j], "coefficients": entries}
-            tensor[ni] = row
-        envelope = {
-            "version": REPORT_VERSION,
-            "config": asdict(config),
-            "structure": {
-                "basis": list(sc.names),
-                "parities": ["even" if p == 0 else "odd" for p in sc.parities],
-                "tensor": tensor,
-            },
-        }
-        print(json.dumps(envelope, indent=2))
-    else:
-        lines = [f"graded structure constants of {{{', '.join(sc.names)}}}"]
-        for i in range(sc.dim):
-            for j in range(i, sc.dim):
-                left, right = sc.names[i], sc.names[j]
-                kind = sc.kinds[i][j]
-                open_b, close_b = ("{", "}") if kind == "anticommutator" else ("[", "]")
-                value = _combination(sc.tensor[i][j], sc.names)
-                lines.append(f"  {open_b}{left},{right}{close_b} = {value}")
-        lines.append(
-            "  (commutator pairs: the reversed bracket is the negative;"
-            " anticommutators are symmetric)"
-        )
-        print("\n".join(lines))
-    return 0
+def cmd_structure(config: RunConfig) -> CommandResult:
+    sc = structure_constants(_osp_basis())
+    tensor = {}
+    for i, ni in enumerate(sc.names):
+        row = {}
+        for j, nj in enumerate(sc.names):
+            entries = {
+                nk: str(sc.tensor[i][j][k])
+                for k, nk in enumerate(sc.names)
+                if not sc.tensor[i][j][k].is_zero
+            }
+            row[nj] = {"kind": sc.kinds[i][j], "coefficients": entries}
+        tensor[ni] = row
+    payload = {
+        "basis": list(sc.names),
+        "parities": [_PARITY_NAMES[p] for p in sc.parities],
+        "tensor": tensor,
+    }
+    lines = [f"graded structure constants of {{{', '.join(sc.names)}}}"]
+    for i, left in enumerate(sc.names):
+        for right in sc.names[i:]:
+            entry = tensor[left][right]
+            open_b, close_b = "{}" if entry["kind"] == ANTICOMMUTATOR else "[]"
+            value = _combination(entry["coefficients"])
+            lines.append(f"  {open_b}{left},{right}{close_b} = {value}")
+    lines.append(
+        "  (commutator pairs: the reversed bracket is the negative;"
+        " anticommutators are symmetric)"
+    )
+    return {"structure": payload}, lines, 0
 
 
 # -- spectrum ---------------------------------------------------------------------
 
 
-def _spectrum_rows(config: RunConfig) -> list[dict]:
+def cmd_spectrum(config: RunConfig) -> CommandResult:
     energies = spectrum(config.dim, config.hbar_omega)
-    rows = []
-    for n in range(config.dim):
-        plus, minus = norm_condition(n)
-        rows.append(
-            {
-                "n": n,
-                "E": energies[n],
-                "k3": str(Fraction(2 * n + 1, 4)),
-                "parity": "+" if n % 2 == 0 else "-",
-                "norm_plus": str(plus),
-                "norm_minus": str(minus),
-            }
-        )
-    return rows
-
-
-def cmd_spectrum(config: RunConfig) -> int:
-    try:
-        rows = _spectrum_rows(config)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if config.output_format == "json":
-        envelope = {
-            "version": REPORT_VERSION,
-            "config": asdict(config),
-            "spectrum": rows,
+    rows = [
+        {
+            "n": n,
+            "E": energies[n],
+            "k3": str(Fraction(2 * n + 1, 4)),
+            "parity": "+" if n % 2 == 0 else "-",
+            "norm_plus": str(plus),
+            "norm_minus": str(minus),
         }
-        print(json.dumps(envelope, indent=2))
-    else:
-        buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer, fieldnames=["n", "E", "k3", "parity", "norm_plus", "norm_minus"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-        sys.stdout.write(buffer.getvalue())
-    return 0
+        for n, (plus, minus) in enumerate(map(norm_condition, range(config.dim)))
+    ]
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    # a str is emitted as it is: the CSV keeps its \r\n line endings
+    return {"spectrum": rows}, buffer.getvalue(), 0
 
 
 # -- entry point ---------------------------------------------------------------------
 
+# option -> (RunConfig field, argparse keywords); every default lives in RunConfig
+OPTIONS = {
+    "--dim": ("dim", {"type": int, "help": f"truncation dimension, at most {DIM_LIMIT}"}),
+    "--hbar-omega": ("hbar_omega", {"type": float, "help": "energy quantum ħω"}),
+    "--tol": ("tolerance", {"type": float, "help": "numeric residual tolerance"}),
+    "--format": ("output_format", {"choices": ("text", "json"), "help": "output format"}),
+    "--seed": ("seed_state", {"type": int, "help": "starting number state"}),
+    "--set": ("generator_set", {"help": "predefined set or comma-separated names"}),
+    "--max-dim": ("max_dim", {"type": int, "help": "closure size bound"}),
+    "--mode": (
+        "mode",
+        {"choices": (GRADED, COMMUTATOR_ONLY), "help": "bracket convention used for closure"},
+    ),
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dim", type=int, default=64, help=f"truncation dimension, at most {DIM_LIMIT}"
-    )
-    parser.add_argument(
-        "--hbar-omega", type=float, default=1.0, help="energy quantum ħω"
-    )
-    parser.add_argument(
-        "--tol", type=float, default=1e-12, help="numeric residual tolerance"
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    parser.add_argument("--max-dim", type=int, default=16, help="closure size bound")
+# subcommand -> (function, help, options it reads, RunConfig defaults it overrides)
+COMMANDS = {
+    "verify": (cmd_verify, "run the full verification suite", ("--dim", "--tol", "--format"), {}),
+    "closure": (cmd_closure, "bracket-close a generator set",
+                ("--set", "--mode", "--max-dim", "--format"), {"generator_set": "minimal"}),
+    "orbit": (cmd_orbit, "number-state reachability",
+              ("--dim", "--seed", "--set", "--format"), {}),
+    "structure": (cmd_structure, "graded structure-constant table", ("--format",), {}),
+    "spectrum": (cmd_spectrum, "per-level spectrum table",
+                 ("--dim", "--hbar-omega", "--format"), {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,71 +368,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the full verification suite")
-    _add_common(p_verify)
-
-    p_closure = sub.add_parser("closure", help="bracket-close a generator set")
-    _add_common(p_closure)
-    p_closure.add_argument(
-        "--set", default="minimal", help="predefined set or comma-separated names"
-    )
-    p_closure.add_argument(
-        "--mode",
-        choices=("graded", "commutator-only"),
-        default="graded",
-        help="bracket convention used for closure",
-    )
-
-    p_orbit = sub.add_parser("orbit", help="number-state reachability")
-    _add_common(p_orbit)
-    p_orbit.add_argument("--seed", type=int, default=0, help="starting number state")
-    p_orbit.add_argument(
-        "--set", default="osp", help="predefined set or comma-separated names"
-    )
-
-    p_structure = sub.add_parser("structure", help="graded structure-constant table")
-    _add_common(p_structure)
-
-    p_spectrum = sub.add_parser("spectrum", help="per-level spectrum table")
-    _add_common(p_spectrum)
-
+    for name, (_, help_text, options, defaults) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option in options:
+            field_name, keywords = OPTIONS[option]
+            command.add_argument(option, dest=field_name, default=argparse.SUPPRESS, **keywords)
+        command.set_defaults(**defaults)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        dim=args.dim,
-        hbar_omega=args.hbar_omega,
-        tolerance=args.tol,
-        output_format=args.format,
-        seed_state=getattr(args, "seed", 0),
-        generator_set=getattr(args, "set", "osp"),
-        max_dim=args.max_dim,
-        mode=getattr(args, "mode", "graded"),
-    )
+def _check_options(config: RunConfig) -> None:
+    if not 1 <= config.dim <= DIM_LIMIT:
+        raise ValueError(f"--dim must be between 1 and {DIM_LIMIT}")
+    if not (math.isfinite(config.hbar_omega) and config.hbar_omega > 0):
+        raise ValueError("--hbar-omega must be positive and finite")
+    if not (math.isfinite(config.tolerance) and config.tolerance >= 0):
+        raise ValueError("--tol must be non-negative and finite")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-    if not 1 <= config.dim <= DIM_LIMIT:
-        print(f"error: --dim must be between 1 and {DIM_LIMIT}", file=sys.stderr)
+    args = vars(build_parser().parse_args(argv))
+    run = COMMANDS[args.pop("command")][0]
+    config = RunConfig(**args)
+    try:
+        _check_options(config)
+        payload, text, status = run(config)
+    except ClosureOverflowError as err:
+        print(f"not closed: {err}", file=sys.stderr)
+        return 1
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
-    if not (math.isfinite(config.hbar_omega) and config.hbar_omega > 0):
-        print("error: --hbar-omega must be positive and finite", file=sys.stderr)
-        return 2
-    if not (math.isfinite(config.tolerance) and config.tolerance >= 0):
-        print("error: --tol must be non-negative and finite", file=sys.stderr)
-        return 2
-    dispatch = {
-        "verify": cmd_verify,
-        "closure": cmd_closure,
-        "orbit": cmd_orbit,
-        "structure": cmd_structure,
-        "spectrum": cmd_spectrum,
-    }
-    return dispatch[args.command](config)
+    if config.output_format == "json":
+        envelope = {"version": REPORT_VERSION, "config": asdict(config), **payload}
+        out = json.dumps(envelope, indent=2) + "\n"
+    else:
+        out = text if isinstance(text, str) else "\n".join(text) + "\n"
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so the final
+        # flush at exit cannot fail again (Python's documented SIGPIPE pattern)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

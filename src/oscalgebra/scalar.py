@@ -17,6 +17,8 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 def _fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, Rational):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
@@ -83,6 +85,8 @@ class Scalar:
         return other - self
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return Scalar(self.a * other, self.b * other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -257,3 +257,79 @@ def test_resolve_aliases():
 def test_resolve_unknown():
     with pytest.raises(ValueError):
         resolve_generator_names("K4")
+
+
+# -- options and output pipe ----------------------------------------------------------
+
+# the options each subcommand reads, with a valid value for each option
+ACCEPTED_OPTIONS = {
+    "verify": ("--dim", "--tol", "--format"),
+    "closure": ("--set", "--mode", "--max-dim", "--format"),
+    "orbit": ("--dim", "--seed", "--set", "--format"),
+    "structure": ("--format",),
+    "spectrum": ("--dim", "--hbar-omega", "--format"),
+}
+OPTION_VALUES = {
+    "--dim": "16", "--hbar-omega": "2", "--tol": "1e-9", "--format": "json",
+    "--seed": "1", "--set": "so21", "--max-dim": "4", "--mode": "graded",
+}
+
+
+@pytest.mark.parametrize("command", ACCEPTED_OPTIONS)
+def test_subcommand_accepts_the_options_it_reads(command, capsys):
+    argv = [command]
+    for option in ACCEPTED_OPTIONS[command]:
+        argv += [option, OPTION_VALUES[option]]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["version"] == 1
+
+
+@pytest.mark.parametrize("command", ACCEPTED_OPTIONS)
+def test_subcommand_rejects_options_it_does_not_read(command, capsys):
+    unread = [o for o in OPTION_VALUES if o not in ACCEPTED_OPTIONS[command]]
+    assert len(unread) == len(OPTION_VALUES) - len(ACCEPTED_OPTIONS[command])
+    for option in unread:
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, OPTION_VALUES[option]])
+        assert exc.value.code == 2, option
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_settable_option_count():
+    assert sum(len(options) for options in ACCEPTED_OPTIONS.values()) == 15
+
+
+def test_config_block_echoes_run_config_defaults(capsys):
+    from dataclasses import asdict
+
+    _, out, _ = run_cli(capsys, "closure", "--format", "json")
+    expected = RunConfig(generator_set="minimal", output_format="json")
+    assert json.loads(out)["config"] == asdict(expected)
+    _, out, _ = run_cli(capsys, "structure", "--format", "json")
+    assert json.loads(out)["config"] == asdict(RunConfig(output_format="json"))
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import oscalgebra
+
+    src = str(Path(oscalgebra.__file__).parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    # well over one pipe buffer, so the write fails even if it starts early
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oscalgebra", "spectrum", "--dim", "2000", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
+    assert err == b""

@@ -38,6 +38,17 @@ def test_floats_rejected():
         Scalar(1) * 0.5
 
 
+def test_int_scaling_matches_scalar_product():
+    x = Scalar(Fraction(3, 7), Fraction(-5, 2))
+    for k in (-3, 0, 1, 4, True):
+        product = x * k
+        assert product == x * Scalar(k) == k * x
+        assert type(product.a) is Fraction and type(product.b) is Fraction
+    # an incoming Fraction is kept, not re-wrapped
+    half = Fraction(1, 2)
+    assert Scalar(half, half).a is half
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
