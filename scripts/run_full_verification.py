@@ -7,6 +7,9 @@ Usage:  python scripts/run_full_verification.py [--dim N] [--format text|json]
 """
 
 import argparse
+import contextlib
+import io
+import os
 import sys
 
 from oscalgebra.cli import main as cli_main
@@ -14,7 +17,13 @@ from oscalgebra.cli import main as cli_main
 
 def run(argv: list[str]) -> int:
     print(f"\n==> oscalgebra {' '.join(argv)}")
-    return cli_main(argv)
+    # capture the command's output and write it here, so a closed stdout pipe
+    # raises in this script instead of being absorbed by the command
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        status = cli_main(argv)
+    sys.stdout.write(captured.getvalue())
+    return status
 
 
 def main() -> int:
@@ -49,4 +58,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so the final
+        # flush at exit cannot fail again (Python's documented SIGPIPE pattern)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

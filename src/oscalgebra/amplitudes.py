@@ -4,6 +4,12 @@ Ladder actions produce amplitudes like √n and ½√((n+1)(n+2)).  Keeping them
 as rational coefficients attached to square-free integer radicands gives an
 exact zero test (the term list is empty), which is what the orbit walker
 relies on instead of a floating threshold.
+
+The public constructor `ExactAmplitude(terms)` normalises arbitrary positive
+radicands with `square_free`.  `root_sum` and the arithmetic produce only
+square-free radicands and wrap {radicand: coefficient} through `_reduced`
+without factoring again: for square-free k1, k2 and g = gcd(k1, k2), the
+factors of √k1·√k2 = g·√((k1/g)(k2/g)) are coprime and square-free.
 """
 
 from __future__ import annotations
@@ -44,12 +50,8 @@ class ExactAmplitude:
         data: dict[int, Fraction] = {}
         for coeff, radicand in terms:
             outer, free = square_free(radicand)
-            c = data.get(free, Fraction(0)) + Fraction(coeff) * outer
-            if c:
-                data[free] = c
-            else:
-                data.pop(free, None)
-        object.__setattr__(self, "_terms", tuple(sorted(data.items())))
+            data[free] = data.get(free, 0) + Fraction(coeff) * outer
+        object.__setattr__(self, "_terms", ExactAmplitude._reduced(data)._terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactAmplitude is immutable")
@@ -65,21 +67,42 @@ class ExactAmplitude:
         return cls([(Fraction(c), 1)])
 
     @classmethod
+    def _reduced(cls, data: dict[int, Fraction]) -> "ExactAmplitude":
+        """Wrap {square-free radicand: coefficient} as it is; zeros are dropped."""
+        amp = object.__new__(cls)
+        object.__setattr__(amp, "_terms", tuple(sorted((k, c) for k, c in data.items() if c)))
+        return amp
+
+    @classmethod
+    def root_sum(cls, parts: Iterable[tuple[Scalar, Iterable[int]]]) -> "ExactAmplitude":
+        """Σ sᵢ·√(Π factorsᵢ) for scalars sᵢ = a + b·√½ and small positive
+        integer factors, accumulated in reduced form and wrapped once."""
+        data: dict[int, Fraction] = {}
+        for s, factors in parts:
+            outer, free = 1, 1  # Π factors = outer²·free, free square-free
+            for f in factors:
+                o, k = square_free(f)
+                g = math.gcd(free, k)
+                outer *= o * g
+                free = (free // g) * (k // g)
+            if s.a:
+                data[free] = data.get(free, 0) + s.a * outer
+            if s.b:
+                # √½·√free = √(2·free)/2, and 2·free/g² is square-free for g = gcd(2, free)
+                g = 2 - free % 2
+                root = 2 * free // (g * g)
+                data[root] = data.get(root, 0) + s.b * Fraction(outer * g, 2)
+        return cls._reduced(data)
+
+    @classmethod
     def sqrt_product(cls, factors: Iterable[int]) -> "ExactAmplitude":
         """√(Π factors), reduced exactly; each factor is a small integer."""
-        outer, free = 1, 1
-        for f in factors:
-            o, s = square_free(f)
-            outer *= o
-            g = math.gcd(free, s)
-            outer *= g
-            free = (free // g) * (s // g)
-        return cls([(Fraction(outer), free)])
+        return cls.root_sum([(Scalar(1), factors)])
 
     @classmethod
     def from_scalar(cls, s: Scalar) -> "ExactAmplitude":
         """a + b·√½ becomes a·√1 + (b/2)·√2."""
-        return cls([(s.a, 1), (s.b / 2, 2)])
+        return cls.root_sum([(s, ())])
 
     # -- structure -----------------------------------------------------------
 
@@ -109,12 +132,13 @@ class ExactAmplitude:
     def __add__(self, other):
         if not isinstance(other, ExactAmplitude):
             return NotImplemented
-        return ExactAmplitude(
-            [(c, k) for k, c in self._terms] + [(c, k) for k, c in other._terms]
-        )
+        data = dict(self._terms)
+        for k, c in other._terms:
+            data[k] = data.get(k, 0) + c
+        return ExactAmplitude._reduced(data)
 
     def __neg__(self):
-        return ExactAmplitude([(-c, k) for k, c in self._terms])
+        return ExactAmplitude._reduced({k: -c for k, c in self._terms})
 
     def __sub__(self, other):
         if not isinstance(other, ExactAmplitude):
@@ -123,17 +147,18 @@ class ExactAmplitude:
 
     def __mul__(self, other):
         if isinstance(other, Rational):
-            return ExactAmplitude([(c * other, k) for k, c in self._terms])
+            return ExactAmplitude._reduced({k: c * other for k, c in self._terms})
         if not isinstance(other, ExactAmplitude):
             return NotImplemented
         # √k1·√k2 = g·√((k1/g)(k2/g)) with g = gcd: square-free times
         # square-free stays square-free after pulling the gcd out.
-        out = []
+        data: dict[int, Fraction] = {}
         for k1, c1 in self._terms:
             for k2, c2 in other._terms:
                 g = math.gcd(k1, k2)
-                out.append((c1 * c2 * g, (k1 // g) * (k2 // g)))
-        return ExactAmplitude(out)
+                k = (k1 // g) * (k2 // g)
+                data[k] = data.get(k, 0) + c1 * c2 * g
+        return ExactAmplitude._reduced(data)
 
     __rmul__ = __mul__
 

@@ -7,12 +7,12 @@ Subcommands
     structure  the graded structure-constant table of the five generators
     spectrum   per-level table: energy, K3 eigenvalue, parity, norms
 
-Each subcommand is a pure function ``RunConfig -> (payload, text, status)``;
+Each subcommand is a pure function ``RunConfig -> (payload, render, status)``;
 ``COMMANDS`` lists it with its help string and the options it reads, and the
 parser is built from that table.  ``main`` is the single emit point: it
 validates options, maps ``ClosureOverflowError`` to status 1 and
-``ValueError`` to status 2, and prints either the text or the one JSON
-envelope ``{"version", "config", **payload}``.
+``ValueError`` to status 2, and prints either the one JSON envelope
+``{"version", "config", **payload}`` or the text, rendered only then.
 
 Reports are deterministic: the same configuration yields byte-identical
 output, and JSON output parses back into the report model.
@@ -29,6 +29,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .fock import ladder_amplitude, norm_condition, orbit, relation_residuals, spectrum
@@ -118,8 +119,9 @@ def _osp_basis() -> AlgebraBasis:
 
 _PARITY_NAMES = ("even", "odd")  # indexed by GradedElement.parity
 
-# what every cmd_* returns: (JSON payload, text as a str or lines, exit status)
-CommandResult = tuple[dict, str | list[str], int]
+# what every cmd_* returns: (JSON payload, text renderer, exit status); the
+# renderer returns a str or a list of lines
+CommandResult = tuple[dict, Callable[[], str | list[str]], int]
 
 
 # -- verify -----------------------------------------------------------------
@@ -175,24 +177,27 @@ def build_verify_report(config: RunConfig) -> VerificationReport:
 
 def cmd_verify(config: RunConfig) -> CommandResult:
     report = build_verify_report(config)
-    mark = {PASS: "PASS", FAIL: "FAIL", INFORMATIONAL: "INFO"}
-    lines = [f"ladder-algebra verification  dim={config.dim}  tol={config.tolerance:g}", ""]
-    for check in report.checks:
-        if check.exact:
-            res = "0 (exact)"
-        elif check.residual is not None:
-            res = f"{check.residual:.3e}"
-        else:
-            res = "-"
-        line = f"[{mark[check.status]}] {check.name:<24} {res:>10}"
-        lines.append(f"{line}  {check.detail}" if check.detail else line)
-    n_pass, n_fail, n_info = report.counts()
-    lines += [
-        "",
-        f"casimir eigenvalue: {report.casimir_eigenvalue}",
-        f"summary: {n_pass} passed, {n_fail} failed, {n_info} informational",
-    ]
-    return report.as_dict(), lines, 0 if report.passed else 1
+
+    def text() -> list[str]:
+        mark = {PASS: "PASS", FAIL: "FAIL", INFORMATIONAL: "INFO"}
+        lines = [f"ladder-algebra verification  dim={config.dim}  tol={config.tolerance:g}", ""]
+        for check in report.checks:
+            if check.exact:
+                res = "0 (exact)"
+            elif check.residual is not None:
+                res = f"{check.residual:.3e}"
+            else:
+                res = "-"
+            line = f"[{mark[check.status]}] {check.name:<24} {res:>10}"
+            lines.append(f"{line}  {check.detail}" if check.detail else line)
+        n_pass, n_fail, n_info = report.counts()
+        return lines + [
+            "",
+            f"casimir eigenvalue: {report.casimir_eigenvalue}",
+            f"summary: {n_pass} passed, {n_fail} failed, {n_info} informational",
+        ]
+
+    return report.as_dict(), text, 0 if report.passed else 1
 
 
 # -- closure ------------------------------------------------------------------
@@ -213,14 +218,13 @@ def cmd_closure(config: RunConfig) -> CommandResult:
         "added": list(result.added),
         "basis": basis,
     }
-    lines = [
+    return {"closure": payload}, lambda: [
         f"bracket closure of {{{', '.join(gens)}}}  mode={config.mode}  max_dim={config.max_dim}",
         f"dimension: {result.basis.dim}   sweeps: {result.generations}",
         "added by closure: " + (", ".join(result.added) or "nothing"),
         "basis:",
         *(f"  {b['name']:<4} {b['parity']:<5} {b['polynomial']}" for b in basis),
-    ]
-    return {"closure": payload}, lines, 0
+    ], 0
 
 
 # -- orbit ---------------------------------------------------------------------
@@ -251,7 +255,7 @@ def cmd_orbit(config: RunConfig) -> CommandResult:
         "reachable": list(report.reachable),
         "partition": [list(b) for b in report.partition],
     }
-    lines = [
+    return {"orbits": payload}, lambda: [
         f"orbit analysis  set={{{', '.join(report.generator_names)}}}"
         f"  seed={report.seed}  dim={config.dim}  window={report.window}",
         f"reachable from |{report.seed}⟩: {len(report.reachable)} states"
@@ -262,8 +266,7 @@ def cmd_orbit(config: RunConfig) -> CommandResult:
             f"  orbit {idx}: {len(block)} states ({_block_label(block)}): {_format_block(block)}"
             for idx, block in enumerate(report.partition, start=1)
         ),
-    ]
-    return {"orbits": payload}, lines, 0
+    ], 0
 
 
 # -- structure constants -----------------------------------------------------------
@@ -293,18 +296,21 @@ def cmd_structure(config: RunConfig) -> CommandResult:
         "parities": [_PARITY_NAMES[p] for p in sc.parities],
         "tensor": tensor,
     }
-    lines = [f"graded structure constants of {{{', '.join(sc.names)}}}"]
-    for i, left in enumerate(sc.names):
-        for right in sc.names[i:]:
-            entry = tensor[left][right]
-            open_b, close_b = "{}" if entry["kind"] == ANTICOMMUTATOR else "[]"
-            value = _combination(entry["coefficients"])
-            lines.append(f"  {open_b}{left},{right}{close_b} = {value}")
-    lines.append(
-        "  (commutator pairs: the reversed bracket is the negative;"
-        " anticommutators are symmetric)"
-    )
-    return {"structure": payload}, lines, 0
+
+    def text() -> list[str]:
+        lines = [f"graded structure constants of {{{', '.join(sc.names)}}}"]
+        for i, left in enumerate(sc.names):
+            for right in sc.names[i:]:
+                entry = tensor[left][right]
+                open_b, close_b = "{}" if entry["kind"] == ANTICOMMUTATOR else "[]"
+                value = _combination(entry["coefficients"])
+                lines.append(f"  {open_b}{left},{right}{close_b} = {value}")
+        return lines + [
+            "  (commutator pairs: the reversed bracket is the negative;"
+            " anticommutators are symmetric)"
+        ]
+
+    return {"structure": payload}, text, 0
 
 
 # -- spectrum ---------------------------------------------------------------------
@@ -323,12 +329,16 @@ def cmd_spectrum(config: RunConfig) -> CommandResult:
         }
         for n, (plus, minus) in enumerate(map(norm_condition, range(config.dim)))
     ]
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    # a str is emitted as it is: the CSV keeps its \r\n line endings
-    return {"spectrum": rows}, buffer.getvalue(), 0
+
+    def text() -> str:
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        # a str is emitted as it is: the CSV keeps its \r\n line endings
+        return buffer.getvalue()
+
+    return {"spectrum": rows}, text, 0
 
 
 # -- entry point ---------------------------------------------------------------------
@@ -392,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(**args)
     try:
         _check_options(config)
-        payload, text, status = run(config)
+        payload, render, status = run(config)
     except ClosureOverflowError as err:
         print(f"not closed: {err}", file=sys.stderr)
         return 1
@@ -403,6 +413,7 @@ def main(argv: list[str] | None = None) -> int:
         envelope = {"version": REPORT_VERSION, "config": asdict(config), **payload}
         out = json.dumps(envelope, indent=2) + "\n"
     else:
+        text = render()
         out = text if isinstance(text, str) else "\n".join(text) + "\n"
     try:
         sys.stdout.write(out)

@@ -128,33 +128,24 @@ def ladder_amplitude(x, n: int) -> dict[int, ExactAmplitude]:
     """Exact amplitudes of x|n⟩ keyed by target index; zeros are dropped."""
     if n < 0:
         raise ValueError("number-state index must be non-negative")
-    poly = as_poly(x)
-    out: dict[int, ExactAmplitude] = {}
-    for mono, coeff in poly.items():
-        if n < mono.q:
-            continue  # annihilation terminates below |0⟩
-        target = n - mono.q + mono.p
-        amp = ExactAmplitude.from_scalar(coeff) * ExactAmplitude.sqrt_product(
-            _shift_factors(mono.p, mono.q, n)
-        )
-        total = out.get(target, ExactAmplitude.zero()) + amp
-        if total.is_zero:
-            out.pop(target, None)
-        else:
-            out[target] = total
-    return dict(sorted(out.items()))
+    parts: dict[int, list] = {}
+    for mono, coeff in as_poly(x).items():
+        if n >= mono.q:  # otherwise annihilation terminates below |0⟩
+            target = n - mono.q + mono.p
+            parts.setdefault(target, []).append((coeff, _shift_factors(mono.p, mono.q, n)))
+    amps = ((m, ExactAmplitude.root_sum(terms)) for m, terms in sorted(parts.items()))
+    return {m: amp for m, amp in amps if amp}
+
+
+_K_PLUS_MINUS = tuple(standard_generators()[name] for name in ("K+", "K-"))
 
 
 def norm_condition(n: int) -> tuple[Fraction, Fraction]:
     """Exact (‖K+|n⟩‖², ‖K-|n⟩‖²), both provably non-negative by construction."""
-    gens = standard_generators()
     values = []
-    for name in ("K+", "K-"):
-        amps = ladder_amplitude(gens[name], n)
-        total = ExactAmplitude.zero()
-        for amp in amps.values():
-            total = total + amp * amp
-        values.append(total.as_fraction())
+    for generator in _K_PLUS_MINUS:
+        amps = ladder_amplitude(generator, n).values()
+        values.append(sum((amp * amp for amp in amps), ExactAmplitude.zero()).as_fraction())
     return values[0], values[1]
 
 

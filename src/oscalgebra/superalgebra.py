@@ -290,35 +290,32 @@ class StructureConstants:
 
 
 def structure_constants(basis: AlgebraBasis) -> StructureConstants:
-    """Exact expansion coefficients of every graded bracket of basis pairs."""
+    """Exact expansion coefficients of every graded bracket of basis pairs;
+    only i ≤ j is bracketed, as [eⱼ, eᵢ} = -(-1)^(|eᵢ||eⱼ|)·[eᵢ, eⱼ}."""
     n = basis.dim
     parities = tuple(e.parity for _, e in basis)
-    tensor = []
-    kinds = []
-    for i in range(n):
-        row = []
-        kind_row = []
-        for j in range(n):
-            bracket = graded_bracket(basis[i][1], basis[j][1]).poly
-            coeffs = basis.span_coefficients(bracket)
-            if coeffs is None:
-                raise ValueError(
-                    f"bracket of {basis.names[i]} and {basis.names[j]} escapes "
-                    "the span: the basis is not closed"
-                )
-            row.append(tuple(coeffs))
-            kind_row.append(
-                ANTICOMMUTATOR
-                if parities[i] == ODD and parities[j] == ODD
-                else COMMUTATOR
+    kinds = tuple(
+        tuple(ANTICOMMUTATOR if parities[i] == parities[j] == ODD else COMMUTATOR
+              for j in range(n))
+        for i in range(n)
+    )
+    entries = {}
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        bracket = graded_bracket(basis[i][1], basis[j][1]).poly
+        coeffs = basis.span_coefficients(bracket)
+        if coeffs is None:
+            raise ValueError(
+                f"bracket of {basis.names[i]} and {basis.names[j]} escapes "
+                "the span: the basis is not closed"
             )
-        tensor.append(tuple(row))
-        kinds.append(tuple(kind_row))
+        entries[i, j] = tuple(coeffs)
+        sign = 1 if kinds[i][j] == ANTICOMMUTATOR else -1
+        entries.setdefault((j, i), tuple(c * sign for c in coeffs))
     return StructureConstants(
         names=basis.names,
         parities=parities,
-        tensor=tuple(tensor),
-        kinds=tuple(kinds),
+        tensor=tuple(tuple(entries[i, j] for j in range(n)) for i in range(n)),
+        kinds=kinds,
     )
 
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the closed-form contraction product,
 the ExactAmplitude radical arithmetic and the matrix builder: the rewriter
 applies the single rule a·a† → a†·a + 1 one randomly chosen spot at a time,
 and the ladder walkers apply one operator per step straight from
-a|n⟩ = √n|n-1⟩, a†|n⟩ = √(n+1)|n+1⟩.
+a|n⟩ = √n|n-1⟩, a†|n⟩ = √(n+1)|n+1⟩.  The exact amplitude oracle sends
+every term through the public, normalising ExactAmplitude constructor only.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
+from oscalgebra.amplitudes import ExactAmplitude
 from oscalgebra.scalar import Scalar
 from oscalgebra.weyl import WeylPolynomial
 
@@ -80,3 +82,31 @@ def apply_poly_numeric(poly: WeylPolynomial, n: int) -> dict[int, float]:
             amp *= math.sqrt(state)
         out[state] += amp
     return {k: v for k, v in out.items() if v != 0.0}
+
+
+def ladder_amplitude_by_normalising(poly: WeylPolynomial, n: int) -> dict:
+    """Exact x|n⟩ keyed by target index, composed as Σ c·√(Π factors).
+
+    A coefficient c = a + b·√½ on a monomial whose squared ladder amplitude
+    is s contributes a·√s + (b/2)·√(2s); each target's terms are then
+    merged and reduced by the public constructor, which factors every
+    radicand again.  Zero targets are dropped.
+    """
+    terms: dict[int, list] = defaultdict(list)
+    for mono, coeff in poly.items():
+        target, square = monomial_target_and_square(mono.p, mono.q, n)
+        if square:
+            terms[target] += [(coeff.a, int(square)), (coeff.b / 2, 2 * int(square))]
+    amps = {target: ExactAmplitude(t) for target, t in sorted(terms.items())}
+    return {target: amp for target, amp in amps.items() if amp}
+
+
+def is_reduced(amp: ExactAmplitude) -> bool:
+    """Reduced form: distinct square-free radicands in ascending order, each
+    with a nonzero Fraction coefficient (square-freeness by brute force)."""
+    radicands = [k for k, _ in amp.terms]
+    return (
+        radicands == sorted(set(radicands))
+        and all(k % (d * d) for k in radicands for d in range(2, math.isqrt(k) + 1))
+        and all(isinstance(c, Fraction) and c != 0 for _, c in amp.terms)
+    )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ladder_oracles import is_reduced
 from oscalgebra.amplitudes import ExactAmplitude, square_free
 from oscalgebra.scalar import ROOT_HALF, Scalar
 
@@ -103,3 +104,10 @@ def test_radicands_square_free_and_distinct(x):
     assert len(set(radicands)) == len(radicands)
     for k in radicands:
         assert square_free(k) == (1, k)
+
+
+@given(amplitudes, amplitudes, small)
+def test_arithmetic_keeps_reduced_form(x, y, r):
+    # these results skip the normalising constructor
+    for result in (x + y, x - y, -x, x * y, x * r, x * x - x * x):
+        assert is_reduced(result)

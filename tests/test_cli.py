@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oscalgebra
+from oscalgebra import cli
 from oscalgebra.cli import RunConfig, build_verify_report, main, resolve_generator_names
 from oscalgebra.report import INFORMATIONAL, VerificationReport
 
@@ -310,26 +316,48 @@ def test_config_block_echoes_run_config_defaults(capsys):
     assert json.loads(out)["config"] == asdict(RunConfig(output_format="json"))
 
 
-def test_closed_stdout_pipe_exits_without_traceback():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import oscalgebra
-
+def _run_with_closed_stdout(*args: str) -> tuple[int, bytes]:
+    """Run python with the package on its path and the read end of its stdout
+    pipe closed at once; returns (exit status, stderr)."""
     src = str(Path(oscalgebra.__file__).parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    # well over one pipe buffer, so the write fails even if it starts early
     proc = subprocess.Popen(
-        [sys.executable, "-m", "oscalgebra", "spectrum", "--dim", "2000", "--format", "json"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     )
     proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 1
+    _, err = proc.communicate(timeout=300)
+    return proc.returncode, err
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # well over one pipe buffer, so the write fails even if it starts early
+    code, err = _run_with_closed_stdout(
+        "-m", "oscalgebra", "spectrum", "--dim", "2000", "--format", "json"
+    )
+    assert code == 1
     assert b"Traceback" not in err
     assert err == b""
+
+
+def test_full_verification_script_closed_pipe_exits_without_traceback():
+    script = Path(__file__).parents[1] / "scripts" / "run_full_verification.py"
+    code, err = _run_with_closed_stdout(str(script), "--dim", "64")
+    assert code == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("command", ACCEPTED_OPTIONS)
+def test_text_is_rendered_only_for_text_format(command, monkeypatch):
+    run, *rest = cli.COMMANDS[command]
+    renders = []
+
+    def counting(config):
+        payload, render, status = run(config)
+        return payload, lambda: renders.append(command) or render(), status
+
+    monkeypatch.setitem(cli.COMMANDS, command, (counting, *rest))
+    argv = [command, "--dim", "16"] if "--dim" in ACCEPTED_OPTIONS[command] else [command]
+    for fmt, expected in (("json", 0), ("text", 1)):
+        assert main([*argv, "--format", fmt]) == 0
+        assert len(renders) == expected

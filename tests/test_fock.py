@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladder_oracles import apply_poly_numeric, monomial_target_and_square
+from ladder_oracles import (
+    apply_poly_numeric,
+    is_reduced,
+    ladder_amplitude_by_normalising,
+    monomial_target_and_square,
+)
 from oscalgebra.amplitudes import ExactAmplitude
 from oscalgebra.fock import (
     diagonal_product,
@@ -20,9 +26,11 @@ from oscalgebra.fock import (
     spectrum,
     to_matrix,
 )
+from oscalgebra.scalar import Scalar
 from oscalgebra.weyl import (
     A,
     ADAG,
+    WeylPolynomial,
     casimir,
     hamiltonian,
     monomial,
@@ -172,12 +180,48 @@ def test_ladder_amplitude_exact_cancellation():
     poly = monomial(1, 1) - monomial(0, 0, 3)
     # (a†a - 3)|3⟩ = 0 exactly: the empty map, not a tiny float
     assert ladder_amplitude(poly, 3) == {}
+    # a†²a²|3⟩ = 3·2|3⟩ cancels 2·a†a|3⟩ across two monomials
+    assert 3 not in ladder_amplitude(monomial(2, 2) - monomial(1, 1, 2), 3)
 
 
 def test_casimir_acts_as_constant_on_states():
     assert ladder_amplitude(casimir(), 5) == {
         5: ExactAmplitude.rational(Fraction(3, 16))
     }
+
+
+def _random_poly(rng: random.Random, n: int) -> WeylPolynomial:
+    """Up to five monomials of degree ≤ 6 with Q(√½) coefficients, plus, half
+    of the time, a pair of diagonal monomials that cancel exactly on |n⟩."""
+
+    def fraction() -> Fraction:
+        return Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 4))
+
+    terms: dict[tuple[int, int], Scalar] = {}
+    for _ in range(rng.randint(1, 5)):
+        p = rng.randint(0, 6)
+        terms[p, rng.randint(0, 6 - p)] = Scalar(fraction(), fraction())
+    if rng.random() < 0.5:
+        # a†ᵏa^k|n⟩ = n(n-1)…(n-k+1)|n⟩, so c·a†ʲaʲ - c·(ratio)·a†ᵏaᵏ vanishes there
+        j, k = rng.sample(range(1, 4), 2)
+        _, sj = monomial_target_and_square(j, j, n)
+        _, sk = monomial_target_and_square(k, k, n)
+        if sj and sk:
+            c = Scalar(fraction(), fraction())
+            terms[j, j] = c
+            terms[k, k] = -c * Fraction(math.isqrt(int(sj)), math.isqrt(int(sk)))
+    return WeylPolynomial(terms)
+
+
+def test_ladder_amplitude_matches_normalising_oracle():
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(0, 200)
+        poly = _random_poly(rng, n)
+        amps = ladder_amplitude(poly, n)
+        assert amps == ladder_amplitude_by_normalising(poly, n), (poly, n)
+        assert list(amps) == sorted(amps)
+        assert all(is_reduced(amp) for amp in amps.values())
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,7 +257,7 @@ def test_norm_condition_against_stepwise_squares():
 
 
 def test_norm_condition_closed_forms():
-    for n in range(64):
+    for n in range(3000):
         plus, minus = norm_condition(n)
         assert plus >= 0 and minus >= 0
         assert plus == Fraction((n + 1) * (n + 2), 4)
@@ -257,6 +301,14 @@ def test_odd_generators_connect_everything(gens):
 def test_full_five_generator_set_single_orbit(gens):
     report = orbit(7, {n: gens[n] for n in ("K+", "K-", "K3", "Q", "Q†")}, 64)
     assert report.orbit_count == 1
+
+
+def test_orbit_partitions_at_dim_3000(gens):
+    osp = orbit(0, {n: gens[n] for n in ("K+", "K-", "K3", "Q", "Q†")}, 3000)
+    assert osp.partition == (tuple(range(2996)),)
+    so21 = orbit(1, so21_set(gens), 3000)
+    assert so21.partition == (tuple(range(0, 2996, 2)), tuple(range(1, 2996, 2)))
+    assert so21.reachable == so21.partition[1]
 
 
 def test_diagonal_generator_gives_singletons(gens):

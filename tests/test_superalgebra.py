@@ -383,6 +383,23 @@ def test_structure_constants_need_closed_basis(gens):
     open_basis = AlgebraBasis((("K3", gens["K3"]), ("Q", gens["Q"])))
     with pytest.raises(ValueError):
         structure_constants(open_basis)
+    # the error names the first escaping pair in row-major order
+    with pytest.raises(ValueError, match=r"bracket of K\+ and K- escapes"):
+        structure_constants(AlgebraBasis((("K+", gens["K+"]), ("K-", gens["K-"]))))
+
+
+def test_structure_constants_bracket_each_unordered_pair_once(osp_basis, monkeypatch):
+    calls = collections.Counter()
+    original = superalgebra.graded_bracket
+
+    def counting(x, y):
+        calls[frozenset((x, y))] += 1
+        return original(x, y)
+
+    monkeypatch.setattr(superalgebra, "graded_bracket", counting)
+    structure_constants(osp_basis)
+    assert len(calls) == 15  # the 5·6/2 pairs i ≤ j of the 5-element basis
+    assert max(calls.values()) == 1
 
 
 # -- graded Jacobi -------------------------------------------------------------------
