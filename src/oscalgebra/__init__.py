@@ -50,45 +50,3 @@ from .weyl import (
     monomial,
     standard_generators,
 )
-
-__all__ = [
-    "A",
-    "ADAG",
-    "EVEN",
-    "IDENTITY",
-    "ODD",
-    "AlgebraBasis",
-    "Check",
-    "ClosureOverflowError",
-    "ClosureResult",
-    "ExactAmplitude",
-    "FockOperator",
-    "GradedElement",
-    "LadderMonomial",
-    "OrbitReport",
-    "Relation",
-    "ROOT_HALF",
-    "Scalar",
-    "StructureConstants",
-    "VerificationReport",
-    "WeylPolynomial",
-    "all_relations",
-    "anticommutator",
-    "casimir",
-    "close_under_bracket",
-    "commutator",
-    "graded_bracket",
-    "graded_jacobi_check",
-    "hamiltonian",
-    "jacobi_from_constants",
-    "ladder_amplitude",
-    "monomial",
-    "norm_condition",
-    "orbit",
-    "parity_matrix",
-    "relation_residuals",
-    "spectrum",
-    "standard_generators",
-    "structure_constants",
-    "to_matrix",
-]

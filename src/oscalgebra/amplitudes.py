@@ -94,16 +94,6 @@ class ExactAmplitude:
                 data[root] = data.get(root, 0) + s.b * Fraction(outer * g, 2)
         return cls._reduced(data)
 
-    @classmethod
-    def sqrt_product(cls, factors: Iterable[int]) -> "ExactAmplitude":
-        """√(Π factors), reduced exactly; each factor is a small integer."""
-        return cls.root_sum([(Scalar(1), factors)])
-
-    @classmethod
-    def from_scalar(cls, s: Scalar) -> "ExactAmplitude":
-        """a + b·√½ becomes a·√1 + (b/2)·√2."""
-        return cls.root_sum([(s, ())])
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -117,13 +107,10 @@ class ExactAmplitude:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def is_rational(self) -> bool:
-        return all(k == 1 for k, _ in self._terms)
-
     def as_fraction(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
-        if self.is_rational():
+        if all(k == 1 for k, _ in self._terms):
             return self._terms[0][1]
         raise ValueError(f"{self} is irrational")
 

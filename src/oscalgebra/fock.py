@@ -27,13 +27,7 @@ from .amplitudes import ExactAmplitude
 from .relations import all_relations
 from .report import VerificationReport, numeric_check
 from .scalar import Scalar
-from .weyl import (
-    WeylPolynomial,
-    as_poly,
-    canonical_name,
-    hamiltonian,
-    standard_generators,
-)
+from .weyl import WeylPolynomial, as_poly, hamiltonian, standard_generators
 
 
 @dataclass(frozen=True)
@@ -43,16 +37,11 @@ class FockOperator:
 
     `bands[d]` is the diagonal row - column = d as a length-`dim` vector
     indexed by column n; it holds 0 wherever row n+d falls outside the
-    truncation.  Offsets without an entry are zero.  `trusted` is the count
-    of leading indices on which products with other truncations of
-    comparable degree still reproduce the infinite-dimensional algebra
-    (entries above it can be corrupted by the cutoff).
+    truncation.  Offsets without an entry are zero.
     """
 
     dim: int
     bands: dict[int, np.ndarray]
-    source_degree: int
-    trusted: int
 
     @property
     def entries(self) -> np.ndarray:
@@ -63,10 +52,6 @@ class FockOperator:
             cols = np.arange(max(0, -d), min(self.dim, self.dim - d))
             dense[cols + d, cols] = band[cols]
         return dense
-
-    def offsets(self) -> tuple[int, ...]:
-        """Stored diagonals (row - column)."""
-        return tuple(sorted(self.bands))
 
 
 def _scalar_value(c: Scalar, dtype) -> float:
@@ -99,7 +84,7 @@ def to_matrix(x, dim: int, dtype=np.float64) -> FockOperator:
             for f in _shift_factors(mono.p, mono.q, n):
                 radicand *= f
             band[n] += value * np.sqrt(dtype(radicand))
-    return FockOperator(dim, bands, poly.degree, max(dim - 2 * poly.degree, 0))
+    return FockOperator(dim, bands)
 
 
 def spectrum(dim: int, hbar_omega: float = 1.0) -> list[float]:
@@ -121,7 +106,7 @@ def parity_matrix(dim: int) -> FockOperator:
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     signs = np.array([(-1.0) ** n for n in range(dim)])
-    return FockOperator(dim=dim, bands={0: signs}, source_degree=0, trusted=dim)
+    return FockOperator(dim=dim, bands={0: signs})
 
 
 def ladder_amplitude(x, n: int) -> dict[int, ExactAmplitude]:
@@ -162,25 +147,22 @@ class OrbitReport:
         return len(self.partition)
 
 
-def _named_generators(generators) -> list[tuple[str, WeylPolynomial]]:
-    if isinstance(generators, Mapping):
-        return [(name, as_poly(g)) for name, g in generators.items()]
-    named = []
-    for i, g in enumerate(generators):
-        poly = as_poly(g)
-        named.append((canonical_name(poly) or f"g{i}", poly))
-    return named
-
-
-def orbit(seed: int, generators, dim: int) -> OrbitReport:
+def orbit(seed: int, generators: Mapping, dim: int) -> OrbitReport:
     """Breadth-first reachability between number states inside the trusted
     window, with an edge n → m whenever some generator (or its adjoint, i.e.
-    the reverse direction) has a nonzero exact amplitude from n to m."""
-    named = _named_generators(generators)
+    the reverse direction) has a nonzero exact amplitude from n to m.
+
+    `generators` maps each name to a polynomial or graded element."""
+    named = [(name, as_poly(g)) for name, g in generators.items()]
     if not named:
         raise ValueError("empty generator set")
     degree = max(poly.degree for _, poly in named)
     window = dim - 2 * degree
+    if window < 1:
+        raise ValueError(
+            f"dim={dim} leaves an empty trusted window for generators of "
+            f"degree {degree}; need dim ≥ {2 * degree + 1}"
+        )
     if not 0 <= seed < window:
         raise ValueError(f"seed {seed} outside the trusted window [0, {window})")
 
@@ -238,8 +220,7 @@ def diagonal_product(x: FockOperator, y: FockOperator) -> FockOperator:
             lo, hi = max(0, -dy), min(dim, dim - dy)
             band = out.setdefault(d, np.zeros_like(y.bands[dy]))
             band[lo:hi] += x.bands[dx][lo + dy : hi + dy] * y.bands[dy][lo:hi]
-    degree = x.source_degree + y.source_degree
-    return FockOperator(dim, out, degree, max(dim - 2 * degree, 0))
+    return FockOperator(dim, out)
 
 
 def _combine(x: dict, y: dict, op) -> dict[int, np.ndarray]:

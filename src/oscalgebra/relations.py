@@ -33,7 +33,6 @@ class Relation:
     kind: str  # "commutator" | "anticommutator" | "casimir"
     operands: tuple[WeylPolynomial, ...]
     rhs: WeylPolynomial
-    group: str
 
     def lhs(self) -> WeylPolynomial:
         if self.kind == "commutator":
@@ -63,40 +62,39 @@ def all_relations() -> list[Relation]:
     q, qd = g["Q"].poly, g["Q†"].poly
     half = Fraction(1, 2)
 
-    def comm(name, x, y, rhs, group):
-        return Relation(name, "commutator", (x, y), rhs, group)
+    def comm(name, x, y, rhs):
+        return Relation(name, "commutator", (x, y), rhs)
 
-    def anti(name, x, y, rhs, group):
-        return Relation(name, "anticommutator", (x, y), rhs, group)
+    def anti(name, x, y, rhs):
+        return Relation(name, "anticommutator", (x, y), rhs)
 
     return [
         # even subalgebra
-        comm("[K3,K+] = K+", k3, kp, kp, "even-subalgebra"),
-        comm("[K3,K-] = -K-", k3, km, -km, "even-subalgebra"),
-        comm("[K+,K-] = -2·K3", kp, km, k3.scaled(-2), "even-subalgebra"),
+        comm("[K3,K+] = K+", k3, kp, kp),
+        comm("[K3,K-] = -K-", k3, km, -km),
+        comm("[K+,K-] = -2·K3", kp, km, k3.scaled(-2)),
         # the bilinears as anticommutators of the bare ladder operators
-        anti("{a,a†} = 4·K3", A, ADAG, k3.scaled(4), "ladder-squares"),
-        anti("{a†,a†} = 4·K+", ADAG, ADAG, kp.scaled(4), "ladder-squares"),
-        anti("{a,a} = 4·K-", A, A, km.scaled(4), "ladder-squares"),
+        anti("{a,a†} = 4·K3", A, ADAG, k3.scaled(4)),
+        anti("{a†,a†} = 4·K+", ADAG, ADAG, kp.scaled(4)),
+        anti("{a,a} = 4·K-", A, A, km.scaled(4)),
         # the odd doublet is spin-½ under K3
-        comm("[K3,Q†] = ½·Q†", k3, qd, qd.scaled(half), "odd-doublet"),
-        comm("[K3,Q] = -½·Q", k3, q, q.scaled(-half), "odd-doublet"),
+        comm("[K3,Q†] = ½·Q†", k3, qd, qd.scaled(half)),
+        comm("[K3,Q] = -½·Q", k3, q, q.scaled(-half)),
         # K± rotate the doublet
-        comm("[K+,Q†] = 0", kp, qd, WeylPolynomial(), "odd-doublet"),
-        comm("[K+,Q] = -Q†", kp, q, -qd, "odd-doublet"),
-        comm("[K-,Q†] = Q", km, qd, q, "odd-doublet"),
-        comm("[K-,Q] = 0", km, q, WeylPolynomial(), "odd-doublet"),
+        comm("[K+,Q†] = 0", kp, qd, WeylPolynomial()),
+        comm("[K+,Q] = -Q†", kp, q, -qd),
+        comm("[K-,Q†] = Q", km, qd, q),
+        comm("[K-,Q] = 0", km, q, WeylPolynomial()),
         # odd-odd anticommutators close back on the even part
-        anti("{Q,Q†} = 2·K3", q, qd, k3.scaled(2), "odd-odd"),
-        anti("{Q†,Q†} = 2·K+", qd, qd, kp.scaled(2), "odd-odd"),
-        anti("{Q,Q} = 2·K-", q, q, km.scaled(2), "odd-odd"),
+        anti("{Q,Q†} = 2·K3", q, qd, k3.scaled(2)),
+        anti("{Q†,Q†} = 2·K+", qd, qd, kp.scaled(2)),
+        anti("{Q,Q} = 2·K-", q, q, km.scaled(2)),
         # the quadratic invariant is a constant
         Relation(
             CASIMIR_NAME,
             "casimir",
             (kp, km, k3),
             IDENTITY.scaled(Fraction(3, 16)),
-            "casimir",
         ),
     ]
 

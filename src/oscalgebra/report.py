@@ -28,32 +28,14 @@ class Check:
     exact: bool = False
     detail: str = ""
 
-    def residual_json(self):
-        if self.exact:
-            return EXACT_ZERO
-        return self.residual
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "mode": self.mode,
             "status": self.status,
-            "residual": self.residual_json(),
+            "residual": EXACT_ZERO if self.exact else self.residual,
             "detail": self.detail,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Check":
-        residual = d.get("residual")
-        exact = residual == EXACT_ZERO
-        return cls(
-            name=d["name"],
-            mode=d["mode"],
-            status=d["status"],
-            residual=None if exact else residual,
-            exact=exact,
-            detail=d.get("detail", ""),
-        )
 
 
 def symbolic_check(name: str, ok: bool, detail: str = "") -> Check:
@@ -112,11 +94,3 @@ class VerificationReport:
             if self.casimir_eigenvalue is None
             else str(self.casimir_eigenvalue),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        kappa = d.get("casimir")
-        return cls(
-            checks=[Check.from_dict(c) for c in d.get("checks", [])],
-            casimir_eigenvalue=None if kappa is None else Fraction(kappa),
-        )

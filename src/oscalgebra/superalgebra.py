@@ -17,6 +17,7 @@ from typing import Iterable
 from .report import VerificationReport, symbolic_check
 from .scalar import ZERO, Scalar
 from .weyl import (
+    NAMED_CONSTANTS,
     ODD,
     GradedElement,
     LadderMonomial,
@@ -25,16 +26,10 @@ from .weyl import (
     canonical_name,
     commutator,
     graded_bracket,
-    named_constants,
 )
 
 GRADED = "graded"
 COMMUTATOR_ONLY = "commutator-only"
-_MODE_ALIASES = {
-    GRADED: GRADED,
-    COMMUTATOR_ONLY: COMMUTATOR_ONLY,
-    "commutator": COMMUTATOR_ONLY,
-}
 
 
 class ClosureOverflowError(RuntimeError):
@@ -195,9 +190,7 @@ def close_under_bracket(
     standard generator or of the identity are stored under their canonical
     name; anything else is named G0, G1, ... in creation order.
     """
-    try:
-        mode = _MODE_ALIASES[mode]
-    except KeyError:
+    if mode not in (GRADED, COMMUTATOR_ONLY):
         raise ValueError(f"unknown mode {mode!r}; use {GRADED!r} or {COMMUTATOR_ONLY!r}")
     elements = [_coerce_graded(x) for x in seed]
     if not elements:
@@ -208,7 +201,6 @@ def close_under_bracket(
     if not all(echelon.add(e.poly) for e in elements):
         raise ValueError("seed elements are linearly dependent")
 
-    reference = named_constants()
     counter = itertools.count()
     taken: set[str] = set()
 
@@ -216,7 +208,7 @@ def close_under_bracket(
         name = canonical_name(poly)
         if name is not None and name not in taken:
             taken.add(name)
-            return name, reference[name]
+            return name, NAMED_CONSTANTS[name]
         name = f"G{next(counter)}"
         while name in taken:
             name = f"G{next(counter)}"
@@ -278,15 +270,6 @@ class StructureConstants:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def index(self, key) -> int:
-        return key if isinstance(key, int) else self.names.index(key)
-
-    def coefficient(self, i, j, k) -> Scalar:
-        return self.tensor[self.index(i)][self.index(j)][self.index(k)]
-
-    def bracket_kind(self, i, j) -> str:
-        return self.kinds[self.index(i)][self.index(j)]
 
 
 def structure_constants(basis: AlgebraBasis) -> StructureConstants:

@@ -22,8 +22,10 @@ is an anticommutator, every other bracket is a commutator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .scalar import ROOT_HALF, Scalar
@@ -79,17 +81,19 @@ def _as_scalar(c) -> Scalar:
     return Scalar(c)  # raises TypeError on floats: coefficients stay exact
 
 
-def _mono_product(x: LadderMonomial, y: LadderMonomial) -> dict[LadderMonomial, int]:
-    """Normal ordering of (a†)^x.p a^x.q (a†)^y.p a^y.q.
+def _contractions(x: WeylPolynomial, y: WeylPolynomial):
+    """Terms of x·y before collection, one per contraction of a term pair.
 
-    Contracting k of the x.q annihilators against the y.p creators yields
-    integer weights k!·C(x.q,k)·C(y.p,k).
+    Normal ordering (a†)^p a^q (a†)^r a^s by contracting k of the q
+    annihilators against the r creators yields the integer weight
+    k!·C(q,k)·C(r,k) on (a†)^(p+r-k) a^(q+s-k).
     """
-    out: dict[LadderMonomial, int] = {}
-    for k in range(min(x.q, y.p) + 1):
-        weight = math.factorial(k) * math.comb(x.q, k) * math.comb(y.p, k)
-        out[LadderMonomial(x.p + y.p - k, x.q + y.q - k)] = weight
-    return out
+    for mx, cx in x.items():
+        for my, cy in y.items():
+            c = cx * cy
+            for k in range(min(mx.q, my.p) + 1):
+                weight = math.factorial(k) * math.comb(mx.q, k) * math.comb(my.p, k)
+                yield LadderMonomial(mx.p + my.p - k, mx.q + my.q - k), c * weight
 
 
 class WeylPolynomial:
@@ -108,11 +112,13 @@ class WeylPolynomial:
             mono = key if isinstance(key, LadderMonomial) else LadderMonomial(*key)
             if mono.p < 0 or mono.q < 0:
                 raise ValueError(f"negative exponent in monomial {key}")
-            c = data.get(mono, Scalar(0)) + _as_scalar(coeff)
-            if c.is_zero:
-                data.pop(mono, None)
-            else:
+            c = _as_scalar(coeff)
+            if mono in data:
+                c = data[mono] + c
+            if c:
                 data[mono] = c
+            else:
+                data.pop(mono, None)
         object.__setattr__(self, "_terms", data)
         object.__setattr__(self, "_hash", None)
 
@@ -128,9 +134,6 @@ class WeylPolynomial:
     def items(self):
         return self._terms.items()
 
-    def canonical_terms(self) -> list[tuple[LadderMonomial, Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0]))
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -142,10 +145,6 @@ class WeylPolynomial:
     def degree(self) -> int:
         """Max total ladder degree; 0 for the zero polynomial."""
         return max((m.degree for m in self._terms), default=0)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(sorted({m.offset for m in self._terms}))
 
     def parity(self) -> int | None:
         """0 or 1 if homogeneous (zero counts as even), None if mixed."""
@@ -159,22 +158,12 @@ class WeylPolynomial:
     def coefficient(self, p: int, q: int) -> Scalar:
         return self._terms.get(LadderMonomial(p, q), Scalar(0))
 
-    def constant_term(self) -> Scalar:
-        return self.coefficient(0, 0)
-
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, WeylPolynomial):
             return NotImplemented
-        data = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = data.get(mono, Scalar(0)) + c
-            if s.is_zero:
-                data.pop(mono, None)
-            else:
-                data[mono] = s
-        return WeylPolynomial(data)
+        return WeylPolynomial(itertools.chain(self.items(), other.items()))
 
     def __sub__(self, other):
         if not isinstance(other, WeylPolynomial):
@@ -192,17 +181,7 @@ class WeylPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, WeylPolynomial):
-            acc: dict[LadderMonomial, Scalar] = {}
-            for mx, cx in self._terms.items():
-                for my, cy in other._terms.items():
-                    c = cx * cy
-                    for mono, weight in _mono_product(mx, my).items():
-                        s = acc.get(mono, Scalar(0)) + c * weight
-                        if s.is_zero:
-                            acc.pop(mono, None)
-                        else:
-                            acc[mono] = s
-            return WeylPolynomial(acc)
+            return WeylPolynomial(_contractions(self, other))
         try:
             return self.scaled(other)
         except TypeError:
@@ -241,7 +220,7 @@ class WeylPolynomial:
         if not self._terms:
             return "0"
         chunks = []
-        for mono, c in self.canonical_terms():
+        for mono, c in sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0])):
             cs = str(c)
             if mono == LadderMonomial(0, 0):
                 text = cs
@@ -262,7 +241,6 @@ def monomial(p: int, q: int, coeff=1) -> WeylPolynomial:
     return WeylPolynomial({LadderMonomial(p, q): coeff})
 
 
-ZERO = WeylPolynomial()
 IDENTITY = monomial(0, 0)
 A = monomial(0, 1)
 ADAG = monomial(1, 0)
@@ -303,9 +281,6 @@ class GradedElement:
         if parity is None:
             raise ValueError(f"polynomial is not parity-homogeneous: {poly}")
         return cls(poly, parity)
-
-    def adjoint(self) -> "GradedElement":
-        return GradedElement(self.poly.adjoint(), self.parity)
 
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
@@ -370,23 +345,20 @@ def casimir() -> WeylPolynomial:
     return (kp * km + km * kp).scaled(Fraction(1, 2)) - k3 * k3
 
 
-_IDENTITY_NAME = "1"
-
-
-def named_constants() -> dict[str, GradedElement]:
-    """Standard generators plus the identity, keyed by canonical name."""
-    table = standard_generators()
-    table[_IDENTITY_NAME] = GradedElement(IDENTITY, EVEN)
-    return table
+# Standard generators plus the identity, keyed by canonical name; built once
+# and read-only, so every reader shares the same elements.
+NAMED_CONSTANTS = MappingProxyType(
+    {**standard_generators(), "1": GradedElement(IDENTITY, EVEN)}
+)
 
 
 def canonical_name(poly: WeylPolynomial) -> str | None:
     """Name for any scalar multiple of a standard generator or the identity."""
     if poly.is_zero:
         return None
-    for name, gen in named_constants().items():
+    for name, gen in NAMED_CONSTANTS.items():
         ref = gen.poly
-        if set(poly.terms) != set(ref.terms):
+        if poly._terms.keys() != ref._terms.keys():
             continue
         mono = next(iter(ref.terms))
         ratio = poly.coefficient(*mono) / ref.coefficient(*mono)

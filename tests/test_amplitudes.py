@@ -42,16 +42,20 @@ def test_zero_is_empty():
     assert amp == ExactAmplitude.zero()
 
 
+def sqrt_product(factors):
+    return ExactAmplitude.root_sum([(Scalar(1), factors)])
+
+
 def test_sqrt_product():
-    assert ExactAmplitude.sqrt_product([2, 3]) == ExactAmplitude([(1, 6)])
-    assert ExactAmplitude.sqrt_product([2, 2]) == ExactAmplitude.rational(2)
-    assert ExactAmplitude.sqrt_product([]) == ExactAmplitude.rational(1)
-    assert ExactAmplitude.sqrt_product([12, 3]) == ExactAmplitude.rational(6)
+    assert sqrt_product([2, 3]) == ExactAmplitude([(1, 6)])
+    assert sqrt_product([2, 2]) == ExactAmplitude.rational(2)
+    assert sqrt_product([]) == ExactAmplitude.rational(1)
+    assert sqrt_product([12, 3]) == ExactAmplitude.rational(6)
 
 
 def test_from_scalar():
-    assert ExactAmplitude.from_scalar(ROOT_HALF) == ExactAmplitude([(Fraction(1, 2), 2)])
-    assert ExactAmplitude.from_scalar(Scalar(3)) == ExactAmplitude.rational(3)
+    assert ExactAmplitude.root_sum([(ROOT_HALF, ())]) == ExactAmplitude([(Fraction(1, 2), 2)])
+    assert ExactAmplitude.root_sum([(Scalar(3), ())]) == ExactAmplitude.rational(3)
 
 
 def test_multiplication_cross_terms():

@@ -46,8 +46,7 @@ def test_verify_json_envelope(capsys):
 def test_verify_json_round_trip(capsys):
     _, out, _ = run_cli(capsys, "verify", "--dim", "16", "--format", "json")
     envelope = json.loads(out)
-    report = VerificationReport.from_dict(envelope)
-    assert report.as_dict() == {
+    assert build_verify_report(RunConfig(dim=16)).as_dict() == {
         "checks": envelope["checks"],
         "casimir": envelope["casimir"],
     }
@@ -193,6 +192,18 @@ def test_orbit_seed_out_of_window(capsys):
     code, _, err = run_cli(capsys, "orbit", "--set", "so21", "--seed", "99", "--dim", "16")
     assert code == 2
     assert "window" in err
+
+
+def test_orbit_empty_window_names_smallest_dim(capsys):
+    code, out, err = run_cli(capsys, "orbit", "--dim", "3")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: dim=3 leaves an empty trusted window for generators of degree 2; "
+        "need dim ≥ 5\n"
+    )
+    code, out, _ = run_cli(capsys, "orbit", "--dim", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["orbits"]["window"] == 1
 
 
 # -- structure ------------------------------------------------------------------

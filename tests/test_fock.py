@@ -57,7 +57,7 @@ def test_annihilator_matrix():
     expected[0, 1] = 1.0
     expected[1, 2] = math.sqrt(2)
     assert np.array_equal(m.entries, expected)
-    assert m.offsets() == (-1,)
+    assert sorted(m.bands) == [-1]
 
 
 def test_k3_matrix_is_diagonal(gens):
@@ -71,18 +71,11 @@ def test_casimir_matrix_exact():
 
 
 def test_band_discipline(gens):
-    assert to_matrix(gens["K+"], 8).offsets() == (2,)
-    assert to_matrix(gens["K-"], 8).offsets() == (-2,)
-    assert to_matrix(gens["Q"], 8).offsets() == (-1,)
+    assert sorted(to_matrix(gens["K+"], 8).bands) == [2]
+    assert sorted(to_matrix(gens["K-"], 8).bands) == [-2]
+    assert sorted(to_matrix(gens["Q"], 8).bands) == [-1]
     poly = gens["K+"].poly + gens["K3"].poly
-    assert to_matrix(poly, 8).offsets() == (0, 2)
-
-
-def test_trusted_window_formula(gens):
-    assert to_matrix(gens["K+"], 64).trusted == 60
-    assert to_matrix(A, 64).trusted == 62
-    assert to_matrix(casimir(), 64).trusted == 64  # constant: degree 0
-    assert to_matrix(monomial(2, 2), 5).trusted == 0
+    assert sorted(to_matrix(poly, 8).bands) == [0, 2]
 
 
 def test_zero_dimension_rejected():
@@ -324,11 +317,6 @@ def test_orbit_seed_validation(gens):
         orbit(-1, so21_set(gens), 64)
     with pytest.raises(ValueError):
         orbit(0, {}, 64)
-
-
-def test_orbit_accepts_generator_sequence(gens):
-    report = orbit(0, [gens["Q"], gens["Q†"]], 16)
-    assert report.generator_names == ("Q", "Q†")
 
 
 # -- banded product and residual suite ---------------------------------------------

@@ -18,7 +18,6 @@ from oscalgebra.superalgebra import (
 )
 from oscalgebra.weyl import (
     EVEN,
-    ZERO,
     GradedElement,
     IDENTITY,
     WeylPolynomial,
@@ -27,6 +26,18 @@ from oscalgebra.weyl import (
 )
 
 GEN_ORDER = ("K+", "K-", "K3", "Q", "Q†")
+ZERO = WeylPolynomial()
+
+
+def constant(sc, i, j, k):
+    """c[i][j][k] of a structure-constant table, with i, j, k basis names."""
+    at = sc.names.index
+    return sc.tensor[at(i)][at(j)][at(k)]
+
+
+def bracket_kind(sc, i, j):
+    at = sc.names.index
+    return sc.kinds[at(i)][at(j)]
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +103,8 @@ def test_closure_rejects_bad_input(gens):
         close_under_bracket([gens["Q"], gens["Q"]], "graded", 8)  # dependent
     with pytest.raises(ValueError):
         close_under_bracket([gens["Q"]], "no-such-mode", 8)
+    with pytest.raises(ValueError):
+        close_under_bracket([gens["Q"]], mode="commutator")  # no alias for commutator-only
 
 
 def test_closure_accepts_bare_polynomials(gens):
@@ -360,7 +373,7 @@ def test_structure_constants_complete_table(osp_basis):
     sc = structure_constants(osp_basis)
     for i, j, k in itertools.product(GEN_ORDER, repeat=3):
         expected = EXPECTED_CONSTANTS.get((i, j, k), Fraction(0))
-        assert sc.coefficient(i, j, k) == Scalar(expected), (i, j, k)
+        assert constant(sc, i, j, k) == Scalar(expected), (i, j, k)
 
 
 def test_structure_constant_kinds(osp_basis):
@@ -368,7 +381,7 @@ def test_structure_constant_kinds(osp_basis):
     odd = {"Q", "Q†"}
     for i, j in itertools.product(GEN_ORDER, repeat=2):
         expected = "anticommutator" if {i, j} <= odd else "commutator"
-        assert sc.bracket_kind(i, j) == expected
+        assert bracket_kind(sc, i, j) == expected
 
 
 def test_structure_constants_graded_antisymmetry(osp_basis):
@@ -427,7 +440,7 @@ def test_jacobi_from_constants_passes(osp_basis):
 def test_jacobi_detects_corrupted_constant(osp_basis):
     sc = structure_constants(osp_basis)
     tensor = [list(map(list, row)) for row in sc.tensor]
-    qi, qj, k3 = sc.index("Q"), sc.index("Q†"), sc.index("K3")
+    qi, qj, k3 = sc.names.index("Q"), sc.names.index("Q†"), sc.names.index("K3")
     tensor[qi][qj][k3] = Scalar(3)  # should be 2
     corrupted = dataclasses.replace(
         sc, tensor=tuple(tuple(tuple(r) for r in row) for row in tensor)
@@ -446,4 +459,4 @@ def test_identity_is_admissible_basis_member(gens):
     # the identity brackets to zero with everything
     for name in basis.names:
         for k in basis.names:
-            assert sc.coefficient("1", name, k) == Scalar(0)
+            assert constant(sc, "1", name, k) == Scalar(0)
