@@ -43,7 +43,6 @@ from .report import (
     symbolic_check,
 )
 from .superalgebra import (
-    ANTICOMMUTATOR,
     COMMUTATOR_ONLY,
     GRADED,
     AlgebraBasis,
@@ -52,7 +51,7 @@ from .superalgebra import (
     graded_jacobi_check,
     structure_constants,
 )
-from .weyl import NAMED_CONSTANTS, GradedElement, casimir
+from .weyl import ANTICOMMUTATOR, NAMED_CONSTANTS, GradedElement, casimir
 
 REPORT_VERSION = 1
 # Largest accepted --dim: banded storage keeps memory O(dim), and 10⁶ is the
@@ -90,6 +89,7 @@ class RunConfig:
 
 def resolve_generator_names(selector: str) -> list[str]:
     """Expand a predefined set name or a comma-separated inline list."""
+    selector = selector.strip()
     if selector in GENERATOR_SETS:
         return list(GENERATOR_SETS[selector])
     names = []

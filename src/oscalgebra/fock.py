@@ -92,8 +92,12 @@ def spectrum(dim: int, hbar_omega: float = 1.0) -> list[float]:
     diagonal (it has no other band, so no eigensolver is involved)."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    if not (np.isfinite(hbar_omega) and hbar_omega > 0):
-        raise ValueError("ħω must be positive and finite")
+    # a finite ħω can still overflow the top energy ħω·(dim - ½)
+    if not (hbar_omega > 0 and np.isfinite(hbar_omega * (dim - 0.5))):
+        raise ValueError(
+            f"ħω must be positive and the top energy ħω·(dim - ½) finite; "
+            f"got ħω={hbar_omega:g}, dim={dim}"
+        )
     diagonal = to_matrix(hamiltonian(), dim).bands[0]
     return [float(hbar_omega) * float(e) for e in np.sort(diagonal)]
 
@@ -174,9 +178,12 @@ def orbit(seed: int, generators: Mapping, dim: int) -> OrbitReport:
                     neighbors[n].add(m)
                     neighbors[m].add(n)  # adjoint direction
 
-    def sweep(start: int, seen: set[int]) -> tuple[int, ...]:
-        block = []
-        queue = [start]
+    partition = []
+    seen: set[int] = set()
+    for start in range(window):
+        if start in seen:
+            continue
+        block, queue = [], [start]
         seen.add(start)
         while queue:
             v = queue.pop()
@@ -185,19 +192,12 @@ def orbit(seed: int, generators: Mapping, dim: int) -> OrbitReport:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-        return tuple(sorted(block))
-
-    reachable = sweep(seed, set())
-    partition = []
-    seen: set[int] = set()
-    for start in range(window):
-        if start not in seen:
-            partition.append(sweep(start, seen))
+        partition.append(tuple(sorted(block)))
     return OrbitReport(
         seed=seed,
         generator_names=tuple(name for name, _ in named),
         window=window,
-        reachable=reachable,
+        reachable=next(block for block in partition if seed in block),
         partition=tuple(partition),
     )
 
@@ -221,11 +221,6 @@ def diagonal_product(x: FockOperator, y: FockOperator) -> FockOperator:
             band = out.setdefault(d, np.zeros_like(y.bands[dy]))
             band[lo:hi] += x.bands[dx][lo + dy : hi + dy] * y.bands[dy][lo:hi]
     return FockOperator(dim, out)
-
-
-def _combine(x: dict, y: dict, op) -> dict[int, np.ndarray]:
-    """op(x, y) band by band over the union of offsets; a missing band is 0."""
-    return {d: op(x.get(d, 0), y.get(d, 0)) for d in x.keys() | y.keys()}
 
 
 def relation_residuals(dim: int, tolerance: float = 1e-12) -> VerificationReport:
@@ -255,21 +250,16 @@ def relation_residuals(dim: int, tolerance: float = 1e-12) -> VerificationReport
             cache[poly] = to_matrix(poly, dim, dtype)
         return cache[poly]
 
-    def product(x: WeylPolynomial, y: WeylPolynomial) -> dict[int, np.ndarray]:
-        return diagonal_product(matrix(x), matrix(y)).bands
-
     report = VerificationReport()
     for rel in relations:
-        if rel.kind == "casimir":
-            kp, km, k3 = rel.operands
-            sym = _combine(product(kp, km), product(km, kp), np.add)
-            half = {d: band / dtype(2) for d, band in sym.items()}
-            lhs = _combine(half, product(k3, k3), np.subtract)
-        else:
-            x, y = rel.operands
-            op = np.subtract if rel.kind == "commutator" else np.add
-            lhs = _combine(product(x, y), product(y, x), op)
-        diff = _combine(lhs, matrix(rel.rhs).bands, np.subtract)
+        # Σ c·(x·y) - rhs, band by band, in the order the products are listed;
+        # a missing band is 0
+        diff: dict[int, np.ndarray] = {}
+        for c, x, y in rel.products:
+            for d, band in diagonal_product(matrix(x), matrix(y)).bands.items():
+                diff[d] = diff.get(d, 0) + dtype(c) * band
+        for d, band in matrix(rel.rhs).bands.items():
+            diff[d] = diff.get(d, 0) - band
         diff = {d: np.abs(band) for d, band in diff.items()}
         t = dim - rel.window_margin
         # on diagonal d, the t×t window holds columns [max(0, -d), min(t, t - d))

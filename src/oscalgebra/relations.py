@@ -2,8 +2,10 @@
 
 One table feeds two independent verification routes: the symbolic suite
 checks each identity as an exact polynomial equality, and the Fock-space
-suite re-checks it with truncated matrix products.  Bracket convention:
-{x,y} when both entries are odd, [x,y] otherwise.
+suite re-checks it with truncated matrix products.  Each left side is data,
+a sum of signed products c·(x·y), which both suites evaluate the same way.
+A bracket [x,y} = xy - (-1)^(|x||y|)·yx takes its kind from the parities of
+x and y: {x,y} when both are odd, [x,y] otherwise.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from fractions import Fraction
 from .weyl import (
     A,
     ADAG,
+    CASIMIR_PRODUCTS,
     IDENTITY,
     WeylPolynomial,
-    anticommutator,
     casimir,
     commutator,
+    graded_sign,
+    product_sum,
     standard_generators,
 )
 
@@ -27,33 +31,24 @@ CASIMIR_NAME = "K² = 3/16"
 
 @dataclass(frozen=True)
 class Relation:
-    """One bracket identity lhs_kind(x, y) = rhs."""
+    """One identity Σ c·(x·y) = rhs over its (c, x, y) products."""
 
     name: str
-    kind: str  # "commutator" | "anticommutator" | "casimir"
-    operands: tuple[WeylPolynomial, ...]
+    products: tuple[tuple[Fraction | int, WeylPolynomial, WeylPolynomial], ...]
     rhs: WeylPolynomial
+    window_margin: int  # matrix checks trust the leading (dim - window_margin)² block
 
     def lhs(self) -> WeylPolynomial:
-        if self.kind == "commutator":
-            x, y = self.operands
-            return commutator(x, y)
-        if self.kind == "anticommutator":
-            x, y = self.operands
-            return anticommutator(x, y)
-        return casimir()
+        return product_sum(self.products)
 
     def residual_poly(self) -> WeylPolynomial:
         return self.lhs() - self.rhs
 
-    @property
-    def window_margin(self) -> int:
-        """Truncation margin for matrix checks: twice the largest degree
-        entering a product (the two-stage Casimir products count double)."""
-        d = max(op.degree for op in self.operands)
-        if self.kind == "casimir":
-            return 4 * d
-        return 2 * d
+
+def _bracket(name: str, x: WeylPolynomial, y: WeylPolynomial, rhs: WeylPolynomial) -> Relation:
+    """[x,y} = rhs; the margin is twice the larger operand degree."""
+    sign = graded_sign(x.parity(), y.parity())
+    return Relation(name, ((1, x, y), (-sign, y, x)), rhs, 2 * max(x.degree, y.degree))
 
 
 def all_relations() -> list[Relation]:
@@ -61,41 +56,30 @@ def all_relations() -> list[Relation]:
     kp, km, k3 = g["K+"].poly, g["K-"].poly, g["K3"].poly
     q, qd = g["Q"].poly, g["Q†"].poly
     half = Fraction(1, 2)
-
-    def comm(name, x, y, rhs):
-        return Relation(name, "commutator", (x, y), rhs)
-
-    def anti(name, x, y, rhs):
-        return Relation(name, "anticommutator", (x, y), rhs)
-
     return [
         # even subalgebra
-        comm("[K3,K+] = K+", k3, kp, kp),
-        comm("[K3,K-] = -K-", k3, km, -km),
-        comm("[K+,K-] = -2·K3", kp, km, k3.scaled(-2)),
+        _bracket("[K3,K+] = K+", k3, kp, kp),
+        _bracket("[K3,K-] = -K-", k3, km, -km),
+        _bracket("[K+,K-] = -2·K3", kp, km, k3.scaled(-2)),
         # the bilinears as anticommutators of the bare ladder operators
-        anti("{a,a†} = 4·K3", A, ADAG, k3.scaled(4)),
-        anti("{a†,a†} = 4·K+", ADAG, ADAG, kp.scaled(4)),
-        anti("{a,a} = 4·K-", A, A, km.scaled(4)),
+        _bracket("{a,a†} = 4·K3", A, ADAG, k3.scaled(4)),
+        _bracket("{a†,a†} = 4·K+", ADAG, ADAG, kp.scaled(4)),
+        _bracket("{a,a} = 4·K-", A, A, km.scaled(4)),
         # the odd doublet is spin-½ under K3
-        comm("[K3,Q†] = ½·Q†", k3, qd, qd.scaled(half)),
-        comm("[K3,Q] = -½·Q", k3, q, q.scaled(-half)),
+        _bracket("[K3,Q†] = ½·Q†", k3, qd, qd.scaled(half)),
+        _bracket("[K3,Q] = -½·Q", k3, q, q.scaled(-half)),
         # K± rotate the doublet
-        comm("[K+,Q†] = 0", kp, qd, WeylPolynomial()),
-        comm("[K+,Q] = -Q†", kp, q, -qd),
-        comm("[K-,Q†] = Q", km, qd, q),
-        comm("[K-,Q] = 0", km, q, WeylPolynomial()),
+        _bracket("[K+,Q†] = 0", kp, qd, WeylPolynomial()),
+        _bracket("[K+,Q] = -Q†", kp, q, -qd),
+        _bracket("[K-,Q†] = Q", km, qd, q),
+        _bracket("[K-,Q] = 0", km, q, WeylPolynomial()),
         # odd-odd anticommutators close back on the even part
-        anti("{Q,Q†} = 2·K3", q, qd, k3.scaled(2)),
-        anti("{Q†,Q†} = 2·K+", qd, qd, kp.scaled(2)),
-        anti("{Q,Q} = 2·K-", q, q, km.scaled(2)),
-        # the quadratic invariant is a constant
-        Relation(
-            CASIMIR_NAME,
-            "casimir",
-            (kp, km, k3),
-            IDENTITY.scaled(Fraction(3, 16)),
-        ),
+        _bracket("{Q,Q†} = 2·K3", q, qd, k3.scaled(2)),
+        _bracket("{Q†,Q†} = 2·K+", qd, qd, kp.scaled(2)),
+        _bracket("{Q,Q} = 2·K-", q, q, km.scaled(2)),
+        # the quadratic invariant is a constant; its products stack two
+        # degree-2 factors, so the margin is twice their degree 4
+        Relation(CASIMIR_NAME, CASIMIR_PRODUCTS, IDENTITY.scaled(Fraction(3, 16)), 8),
     ]
 
 

@@ -24,9 +24,12 @@ class Check:
     name: str
     mode: str
     status: str
-    residual: float | None = None  # None with exact=True means exact zero
-    exact: bool = False
+    residual: float | None = None  # None on a passing symbolic check: exact zero
     detail: str = ""
+
+    @property
+    def exact(self) -> bool:
+        return self.mode == MODE_SYMBOLIC and self.status == PASS
 
     def as_dict(self) -> dict:
         return {
@@ -44,7 +47,6 @@ def symbolic_check(name: str, ok: bool, detail: str = "") -> Check:
         mode=MODE_SYMBOLIC,
         status=PASS if ok else FAIL,
         residual=None,
-        exact=ok,
         detail=detail,
     )
 
@@ -59,8 +61,8 @@ def numeric_check(name: str, residual: float, tolerance: float, detail: str = ""
     )
 
 
-def informational(name: str, detail: str, mode: str = MODE_SYMBOLIC) -> Check:
-    return Check(name=name, mode=mode, status=INFORMATIONAL, detail=detail)
+def informational(name: str, detail: str) -> Check:
+    return Check(name=name, mode=MODE_SYMBOLIC, status=INFORMATIONAL, detail=detail)
 
 
 @dataclass
@@ -84,8 +86,6 @@ class VerificationReport:
 
     def extend(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)
-        if other.casimir_eigenvalue is not None:
-            self.casimir_eigenvalue = other.casimir_eigenvalue
 
     def as_dict(self) -> dict:
         return {

@@ -17,8 +17,9 @@ from typing import Iterable
 from .report import VerificationReport, symbolic_check
 from .scalar import ZERO, Scalar
 from .weyl import (
+    ANTICOMMUTATOR,
+    COMMUTATOR,
     NAMED_CONSTANTS,
-    ODD,
     GradedElement,
     LadderMonomial,
     WeylPolynomial,
@@ -26,6 +27,7 @@ from .weyl import (
     canonical_name,
     commutator,
     graded_bracket,
+    graded_sign,
 )
 
 GRADED = "graded"
@@ -83,7 +85,7 @@ class Echelon:
         return rest, None, used
 
     @staticmethod
-    def _combine(used, size: int) -> list[Scalar]:
+    def _expansion(used, size: int) -> list[Scalar]:
         coeffs = [ZERO] * size
         for factor, (_, expansion) in used:
             for k, c in expansion.items():
@@ -97,7 +99,7 @@ class Echelon:
             return False
         n = len(self._rows)
         inv = rest[lead].inverse()
-        expansion = {k: -c * inv for k, c in enumerate(self._combine(used, n)) if c}
+        expansion = {k: -c * inv for k, c in enumerate(self._expansion(used, n)) if c}
         expansion[n] = inv
         self._rows[lead] = ({m: c * inv for m, c in rest.items()}, expansion)
         return True
@@ -107,7 +109,7 @@ class Echelon:
         rest, _, used = self._reduce(poly)
         if rest:
             return None
-        return self._combine(used, len(self._rows))
+        return self._expansion(used, len(self._rows))
 
 
 # -- bases --------------------------------------------------------------------
@@ -231,7 +233,7 @@ def close_under_bracket(
             if j < done:
                 continue  # already inside the span, or added to it
             xi, xj = snapshot[i][1], snapshot[j][1]
-            if i == j and not (mode == GRADED and xi.parity == ODD):
+            if i == j and (mode != GRADED or graded_sign(xi.parity, xi.parity) > 0):
                 continue  # [x, x] = 0; only {x, x} can produce anything
             result = _bracket_in_mode(xi, xj, mode)
             if not echelon.add(result.poly):
@@ -254,9 +256,6 @@ def close_under_bracket(
 
 # -- structure constants ---------------------------------------------------------
 
-COMMUTATOR = "commutator"
-ANTICOMMUTATOR = "anticommutator"
-
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -265,11 +264,19 @@ class StructureConstants:
     names: tuple[str, ...]
     parities: tuple[int, ...]
     tensor: tuple[tuple[tuple[Scalar, ...], ...], ...]
-    kinds: tuple[tuple[str, ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.names)
+
+    @property
+    def kinds(self) -> tuple[tuple[str, ...], ...]:
+        """kinds[i][j]: which bracket [eᵢ, eⱼ} is, read off the parities."""
+        return tuple(
+            tuple(ANTICOMMUTATOR if graded_sign(pi, pj) < 0 else COMMUTATOR
+                  for pj in self.parities)
+            for pi in self.parities
+        )
 
 
 def structure_constants(basis: AlgebraBasis) -> StructureConstants:
@@ -277,11 +284,6 @@ def structure_constants(basis: AlgebraBasis) -> StructureConstants:
     only i ≤ j is bracketed, as [eⱼ, eᵢ} = -(-1)^(|eᵢ||eⱼ|)·[eᵢ, eⱼ}."""
     n = basis.dim
     parities = tuple(e.parity for _, e in basis)
-    kinds = tuple(
-        tuple(ANTICOMMUTATOR if parities[i] == parities[j] == ODD else COMMUTATOR
-              for j in range(n))
-        for i in range(n)
-    )
     entries = {}
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         bracket = graded_bracket(basis[i][1], basis[j][1]).poly
@@ -292,21 +294,16 @@ def structure_constants(basis: AlgebraBasis) -> StructureConstants:
                 "the span: the basis is not closed"
             )
         entries[i, j] = tuple(coeffs)
-        sign = 1 if kinds[i][j] == ANTICOMMUTATOR else -1
+        sign = -graded_sign(parities[i], parities[j])
         entries.setdefault((j, i), tuple(c * sign for c in coeffs))
     return StructureConstants(
         names=basis.names,
         parities=parities,
         tensor=tuple(tuple(entries[i, j] for j in range(n)) for i in range(n)),
-        kinds=kinds,
     )
 
 
 # -- graded Jacobi identity -------------------------------------------------------
-
-
-def _jacobi_sign(px: int, pz: int) -> int:
-    return -1 if (px * pz) % 2 else 1
 
 
 def graded_jacobi_check(basis: AlgebraBasis) -> VerificationReport:
@@ -315,16 +312,10 @@ def graded_jacobi_check(basis: AlgebraBasis) -> VerificationReport:
     report = VerificationReport()
     for i, j, k in itertools.combinations_with_replacement(range(basis.dim), 3):
         x, y, z = basis[i][1], basis[j][1], basis[k][1]
-        total = (
-            graded_bracket(x, graded_bracket(y, z)).poly.scaled(
-                _jacobi_sign(x.parity, z.parity)
-            )
-            + graded_bracket(y, graded_bracket(z, x)).poly.scaled(
-                _jacobi_sign(y.parity, x.parity)
-            )
-            + graded_bracket(z, graded_bracket(x, y)).poly.scaled(
-                _jacobi_sign(z.parity, y.parity)
-            )
+        total = sum(
+            (graded_bracket(u, graded_bracket(v, w)).poly.scaled(graded_sign(u.parity, w.parity))
+             for u, v, w in ((x, y, z), (y, z, x), (z, x, y))),
+            WeylPolynomial(),
         )
         name = f"jacobi({basis.names[i]},{basis.names[j]},{basis.names[k]})"
         report.checks.append(
@@ -339,9 +330,9 @@ def jacobi_from_constants(sc: StructureConstants) -> VerificationReport:
     report = VerificationReport()
     n = sc.dim
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
-        s1 = _jacobi_sign(sc.parities[i], sc.parities[k])
-        s2 = _jacobi_sign(sc.parities[j], sc.parities[i])
-        s3 = _jacobi_sign(sc.parities[k], sc.parities[j])
+        s1 = graded_sign(sc.parities[i], sc.parities[k])
+        s2 = graded_sign(sc.parities[j], sc.parities[i])
+        s3 = graded_sign(sc.parities[k], sc.parities[j])
         bad: list[str] = []
         for target in range(n):
             total = Scalar(0)

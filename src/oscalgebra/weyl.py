@@ -246,12 +246,31 @@ A = monomial(0, 1)
 ADAG = monomial(1, 0)
 
 
+# bracket kinds, as the structure-constant report names them
+COMMUTATOR = "commutator"
+ANTICOMMUTATOR = "anticommutator"
+
+
 def commutator(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
     return x * y - y * x
 
 
 def anticommutator(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
     return x * y + y * x
+
+
+def graded_sign(px: int, py: int) -> int:
+    """(-1)^(|x||y|): -1 when both entries are odd, 1 otherwise.
+
+    The one place the grading rule is written: it picks the bracket kind
+    [x, y} = xy - (-1)^(|x||y|) yx, its reversal sign and the Jacobi signs.
+    """
+    return -1 if px == ODD and py == ODD else 1
+
+
+def product_sum(products) -> WeylPolynomial:
+    """Σ c·(x·y) over a sequence of (coefficient, left, right) products."""
+    return sum(((x * y).scaled(c) for c, x, y in products), WeylPolynomial())
 
 
 class GradedElement:
@@ -301,11 +320,8 @@ class GradedElement:
 def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     """[x, y} = xy - (-1)^(|x||y|) yx: anticommutator for two odd entries,
     commutator otherwise.  Result parity is |x| + |y| mod 2."""
-    if x.parity == ODD and y.parity == ODD:
-        poly = anticommutator(x.poly, y.poly)
-    else:
-        poly = commutator(x.poly, y.poly)
-    return GradedElement(poly, (x.parity + y.parity) % 2)
+    bracket = anticommutator if graded_sign(x.parity, y.parity) < 0 else commutator
+    return GradedElement(bracket(x.poly, y.poly), (x.parity + y.parity) % 2)
 
 
 def as_poly(x) -> WeylPolynomial:
@@ -338,18 +354,25 @@ def hamiltonian() -> WeylPolynomial:
     return gens["K3"].poly.scaled(2)
 
 
-def casimir() -> WeylPolynomial:
-    """K² = ½(K+K- + K-K+) - K3²; collapses to the constant (3/16)·1."""
-    gens = standard_generators()
-    kp, km, k3 = gens["K+"].poly, gens["K-"].poly, gens["K3"].poly
-    return (kp * km + km * kp).scaled(Fraction(1, 2)) - k3 * k3
-
-
 # Standard generators plus the identity, keyed by canonical name; built once
 # and read-only, so every reader shares the same elements.
 NAMED_CONSTANTS = MappingProxyType(
     {**standard_generators(), "1": GradedElement(IDENTITY, EVEN)}
 )
+
+# K² = ½(K+K- + K-K+) - K3² as (coefficient, left, right) products; the
+# symbolic and the Fock-space suites both sum them in this order
+CASIMIR_PRODUCTS = tuple(
+    (c, NAMED_CONSTANTS[x].poly, NAMED_CONSTANTS[y].poly)
+    for c, x, y in (
+        (Fraction(1, 2), "K+", "K-"), (Fraction(1, 2), "K-", "K+"), (-1, "K3", "K3")
+    )
+)
+
+
+def casimir() -> WeylPolynomial:
+    """K² = ½(K+K- + K-K+) - K3²; collapses to the constant (3/16)·1."""
+    return product_sum(CASIMIR_PRODUCTS)
 
 
 def canonical_name(poly: WeylPolynomial) -> str | None:

@@ -258,6 +258,15 @@ def test_spectrum_rejects_bad_hbar_omega(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_spectrum_rejects_overflowing_energies(capsys, fmt):
+    argv = ("spectrum", "--dim", "3", "--hbar-omega", "1e308", "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # -- name resolution ----------------------------------------------------------------
 
 
@@ -269,6 +278,13 @@ def test_resolve_predefined_sets():
 def test_resolve_aliases():
     assert resolve_generator_names("Kp,k_minus,K3") == ["K+", "K-", "K3"]
     assert resolve_generator_names("q,Qdagger,I") == ["Q", "Q†", "1"]
+
+
+def test_resolve_strips_the_selector(capsys):
+    assert resolve_generator_names(" so21 ") == ["K+", "K-", "K3"]
+    code, out, _ = run_cli(capsys, "orbit", "--set", " so21", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["orbits"]["generators"] == ["K+", "K-", "K3"]
 
 
 def test_resolve_unknown():

@@ -125,6 +125,13 @@ def test_spectrum_validation():
             spectrum(4, bad)
 
 
+def test_spectrum_rejects_overflowing_top_energy():
+    # ħω is finite, but the top energy ħω·(dim - ½) is not
+    with pytest.raises(ValueError, match="top energy"):
+        spectrum(3, 1e308)
+    assert spectrum(1, 1e308) == [5e307]
+
+
 # -- parity ------------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladder_oracles import rewrite_multiply
-from oscalgebra.relations import all_relations, casimir_commutation_checks
+from oscalgebra.relations import CASIMIR_NAME, all_relations, casimir_commutation_checks
 from oscalgebra.scalar import ROOT_HALF
 from oscalgebra.weyl import (
     A,
@@ -23,6 +23,7 @@ from oscalgebra.weyl import (
     canonical_name,
     casimir,
     graded_bracket,
+    graded_sign,
     hamiltonian,
     monomial,
     standard_generators,
@@ -169,6 +170,18 @@ def test_sixteen_relations_exact():
     assert len(relations) == 16
     for rel in relations:
         assert rel.residual_poly().is_zero, rel.name
+
+
+def test_bracket_relations_take_their_kind_from_parity():
+    # the printed bracket, the signed products and the graded bracket agree
+    brackets = [rel for rel in all_relations() if rel.name != CASIMIR_NAME]
+    assert len(brackets) == 15
+    for rel in brackets:
+        (_, x, y), _ = rel.products
+        assert rel.products == ((1, x, y), (-graded_sign(x.parity(), y.parity()), y, x)), rel.name
+        assert rel.name.startswith("{") == (x.parity() == y.parity() == ODD), rel.name
+        expected = graded_bracket(GradedElement.of(x), GradedElement.of(y)).poly
+        assert rel.lhs() == expected, rel.name
 
 
 def test_ladder_square_realizations(gens):
