@@ -5,7 +5,8 @@ the ExactAmplitude radical arithmetic and the matrix builder: the rewriter
 applies the single rule a·a† → a†·a + 1 one randomly chosen spot at a time,
 and the ladder walkers apply one operator per step straight from
 a|n⟩ = √n|n-1⟩, a†|n⟩ = √(n+1)|n+1⟩.  The exact amplitude oracle sends
-every term through the public, normalising ExactAmplitude constructor only.
+every term through the public, normalising ExactAmplitude constructor only,
+and the entry-by-entry matrix builder fills one band entry at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+
+import numpy as np
 
 from oscalgebra.amplitudes import ExactAmplitude
 from oscalgebra.scalar import Scalar
@@ -82,6 +85,25 @@ def apply_poly_numeric(poly: WeylPolynomial, n: int) -> dict[int, float]:
             amp *= math.sqrt(state)
         out[state] += amp
     return {k: v for k, v in out.items() if v != 0.0}
+
+
+def to_matrix_by_entries(poly: WeylPolynomial, dim: int, dtype) -> dict[int, np.ndarray]:
+    """Bands {offset: length-dim vector} of the truncated matrix, one entry
+    at a time: coeff·√(radicand) with coeff = a + b·√½ at `dtype` and the
+    radicand the exact integer square of the stepwise ladder amplitude."""
+    bands: dict[int, np.ndarray] = {}
+    for mono, coeff in poly.items():
+        columns = range(mono.q, min(dim, dim - mono.offset))
+        if not columns:
+            continue
+        a = dtype(coeff.a.numerator) / dtype(coeff.a.denominator)
+        b = dtype(coeff.b.numerator) / dtype(coeff.b.denominator)
+        value = a + b * np.sqrt(dtype(0.5))
+        band = bands.setdefault(mono.offset, np.zeros(dim, dtype=dtype))
+        for n in columns:
+            _, square = monomial_target_and_square(mono.p, mono.q, n)
+            band[n] += value * np.sqrt(dtype(int(square)))
+    return bands
 
 
 def ladder_amplitude_by_normalising(poly: WeylPolynomial, n: int) -> dict:

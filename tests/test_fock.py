@@ -14,6 +14,7 @@ from ladder_oracles import (
     is_reduced,
     ladder_amplitude_by_normalising,
     monomial_target_and_square,
+    to_matrix_by_entries,
 )
 from oscalgebra.amplitudes import ExactAmplitude
 from oscalgebra.fock import (
@@ -101,6 +102,34 @@ def test_matrix_column_matches_stepwise_ladder(poly, dim):
             assert matrix[m, n] == pytest.approx(
                 expected.get(m, 0.0), abs=1e-12, rel=1e-12
             )
+
+
+def assert_same_bands(poly, dim, dtype):
+    bands = to_matrix(poly, dim, dtype).bands
+    expected = to_matrix_by_entries(poly, dim, dtype)
+    assert bands.keys() == expected.keys()
+    for d, band in bands.items():
+        assert band.dtype == dtype
+        assert np.array_equal(band, expected[d]), (poly, dim, dtype, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weyl_polys(max_degree=4),
+    st.integers(1, 64),
+    st.sampled_from((np.float64, np.longdouble)),
+)
+def test_bands_match_entry_by_entry_builder_bit_for_bit(poly, dim, dtype):
+    assert_same_bands(poly, dim, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("p,q,dim", [(8, 8, 300), (16, 0, 2000)])
+def test_bands_past_int64_radicands_match_entry_by_entry_builder(p, q, dim, dtype):
+    # the last column's radicand passes 2**63, so it is built from Python ints
+    _, square = monomial_target_and_square(p, q, dim - 1 - max(p - q, 0))
+    assert square >= 2**63
+    assert_same_bands(monomial(p, q, Scalar(Fraction(3, 7), Fraction(-5, 2))), dim, dtype)
 
 
 # -- spectrum ------------------------------------------------------------------------
