@@ -19,7 +19,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable
 
-from .scalar import Scalar
+from .scalar import Scalar, render_radicals
 
 
 def square_free(k: int) -> tuple[int, int]:
@@ -88,7 +88,8 @@ class ExactAmplitude:
             if s.a:
                 data[free] = data.get(free, 0) + s.a * outer
             if s.b:
-                # √½·√free = √(2·free)/2, and 2·free/g² is square-free for g = gcd(2, free)
+                # √½·√free = √(2·free)/2, and 2·free/g² is square-free for g = gcd(2, free);
+                # fused, not read from Scalar.radicals(): that made orbit at dim 3000 ~30 % slower
                 g = 2 - free % 2
                 root = 2 * free // (g * g)
                 data[root] = data.get(root, 0) + s.b * Fraction(outer * g, 2)
@@ -165,19 +166,7 @@ class ExactAmplitude:
         return sum((float(c) * math.sqrt(k) for k, c in self._terms), 0.0)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for k, c in self._terms:
-            if k == 1:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(f"√{k}")
-            elif c == -1:
-                parts.append(f"-√{k}")
-            else:
-                parts.append(f"{c}·√{k}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_radicals(self._terms)
 
     def __repr__(self) -> str:
         return f"<ExactAmplitude {self}>"

@@ -35,6 +35,7 @@ from . import __version__
 from .fock import ladder_amplitude, norm_condition, orbit, relation_residuals, spectrum
 from .relations import all_relations, casimir_commutation_checks
 from .report import (
+    EXACT_ZERO,
     FAIL,
     INFORMATIONAL,
     PASS,
@@ -180,7 +181,7 @@ def cmd_verify(config: RunConfig) -> CommandResult:
         lines = [f"ladder-algebra verification  dim={config.dim}  tol={config.tolerance:g}", ""]
         for check in report.checks:
             if check.exact:
-                res = "0 (exact)"
+                res = EXACT_ZERO
             elif check.residual is not None:
                 res = f"{check.residual:.3e}"
             else:

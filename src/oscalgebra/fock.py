@@ -30,7 +30,7 @@ from .amplitudes import ExactAmplitude
 from .relations import all_relations
 from .report import VerificationReport, numeric_check
 from .scalar import Scalar
-from .weyl import WeylPolynomial, as_poly, hamiltonian, standard_generators
+from .weyl import NAMED_CONSTANTS, WeylPolynomial, as_poly, hamiltonian
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,8 @@ class FockOperator:
 
 
 def _scalar_value(c: Scalar, dtype) -> float:
-    a = dtype(c.a.numerator) / dtype(c.a.denominator)
-    b = dtype(c.b.numerator) / dtype(c.b.denominator)
-    return a + b * np.sqrt(dtype(0.5))
+    terms = ((dtype(v.numerator) / dtype(v.denominator), dtype(k)) for k, v in c.radicals())
+    return sum((v * np.sqrt(k) for v, k in terms), dtype(0))
 
 
 def _shift_factors(p: int, q: int, n: int | np.ndarray) -> list:
@@ -129,14 +128,11 @@ def ladder_amplitude(x, n: int) -> dict[int, ExactAmplitude]:
     return {m: amp for m, amp in amps if amp}
 
 
-_K_PLUS_MINUS = tuple(standard_generators()[name] for name in ("K+", "K-"))
-
-
 def norm_condition(n: int) -> tuple[Fraction, Fraction]:
     """Exact (‖K+|n⟩‖², ‖K-|n⟩‖²), both provably non-negative by construction."""
     values = []
-    for generator in _K_PLUS_MINUS:
-        amps = ladder_amplitude(generator, n).values()
+    for name in ("K+", "K-"):
+        amps = ladder_amplitude(NAMED_CONSTANTS[name], n).values()
         values.append(sum((amp * amp for amp in amps), ExactAmplitude.zero()).as_fraction())
     return values[0], values[1]
 
@@ -266,7 +262,8 @@ def relation_residuals(dim: int, tolerance: float = 1e-12) -> VerificationReport
         for c, x, y in rel.products:
             for d, band in product(x, y).bands.items():
                 diff[d] = diff.get(d, 0) + dtype(c) * band
-        for d, band in matrix(rel.rhs).bands.items():
+        # a right side is read once: built outside the memo, it is freed here
+        for d, band in to_matrix(rel.rhs, dim, dtype).bands.items():
             diff[d] = diff.get(d, 0) - band
         diff = {d: np.abs(band) for d, band in diff.items()}
         t = dim - rel.window_margin

@@ -18,12 +18,12 @@ from .weyl import (
     ADAG,
     CASIMIR_PRODUCTS,
     IDENTITY,
+    NAMED_CONSTANTS,
     WeylPolynomial,
     casimir,
     commutator,
     graded_sign,
     product_sum,
-    standard_generators,
 )
 
 CASIMIR_NAME = "K² = 3/16"
@@ -52,7 +52,7 @@ def _bracket(name: str, x: WeylPolynomial, y: WeylPolynomial, rhs: WeylPolynomia
 
 
 def all_relations() -> list[Relation]:
-    g = standard_generators()
+    g = NAMED_CONSTANTS
     kp, km, k3 = g["K+"].poly, g["K-"].poly, g["K3"].poly
     q, qd = g["Q"].poly, g["Q†"].poly
     half = Fraction(1, 2)
@@ -85,9 +85,8 @@ def all_relations() -> list[Relation]:
 
 def casimir_commutation_checks() -> list[tuple[str, WeylPolynomial]]:
     """K² commutes with each even generator; residual polynomials (all zero)."""
-    g = standard_generators()
     k2 = casimir()
     return [
-        (f"[K²,{name}] = 0", commutator(k2, g[name].poly))
+        (f"[K²,{name}] = 0", commutator(k2, NAMED_CONSTANTS[name].poly))
         for name in ("K+", "K-", "K3")
     ]

@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-_SQRT_HALF = math.sqrt(0.5)
-
 
 def _fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -22,6 +20,21 @@ def _fraction(value) -> Fraction:
     if isinstance(value, Rational):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def render_radicals(terms) -> str:
+    """Text of Σ c·√k from (radicand, nonzero coefficient) pairs."""
+    parts = []
+    for k, c in terms:
+        if k == 1:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(f"√{k}")
+        elif c == -1:
+            parts.append(f"-√{k}")
+        else:
+            parts.append(f"{c}·√{k}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 class Scalar:
@@ -135,31 +148,15 @@ class Scalar:
 
     # -- conversions ----------------------------------------------------------
 
+    def radicals(self) -> tuple[tuple[int, Fraction], ...]:
+        """Nonzero (radicand, coefficient) terms of a + b·√½ = a·√1 + (b/2)·√2."""
+        return tuple((k, c) for k, c in ((1, self.a), (2, self.b / 2)) if c)
+
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT_HALF
+        return sum((float(c) * math.sqrt(k) for k, c in self.radicals()), 0.0)
 
     def __str__(self) -> str:
-        # render the irrational part via sqrt(2): b*s = (b/2)*sqrt(2)
-        if self.is_zero:
-            return "0"
-        parts = []
-        if self.a:
-            parts.append(str(self.a))
-        if self.b:
-            c = self.b / 2
-            if c == 1:
-                root = "√2"
-            elif c == -1:
-                root = "-√2"
-            else:
-                root = f"{c}·√2"
-            if parts and c > 0:
-                parts.append(f"+ {root}")
-            elif parts:
-                parts.append(f"- {root.lstrip('-')}")
-            else:
-                parts.append(root)
-        return " ".join(parts)
+        return render_radicals(self.radicals())
 
     def __repr__(self) -> str:
         return f"Scalar({self.a!r}, {self.b!r})"

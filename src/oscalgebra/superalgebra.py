@@ -168,10 +168,6 @@ class ClosureResult:
     added: tuple[str, ...]
 
 
-def _coerce_graded(x) -> GradedElement:
-    return x if isinstance(x, GradedElement) else GradedElement.of(x)
-
-
 def _bracket_in_mode(x: GradedElement, y: GradedElement, mode: str) -> GradedElement:
     if mode == GRADED:
         return graded_bracket(x, y)
@@ -194,7 +190,7 @@ def close_under_bracket(
     """
     if mode not in (GRADED, COMMUTATOR_ONLY):
         raise ValueError(f"unknown mode {mode!r}; use {GRADED!r} or {COMMUTATOR_ONLY!r}")
-    elements = [_coerce_graded(x) for x in seed]
+    elements = [GradedElement.of(x) for x in seed]
     if not elements:
         raise ValueError("empty seed")
     if max_dim < len(elements):
@@ -211,11 +207,7 @@ def close_under_bracket(
         if name is not None and name not in taken:
             taken.add(name)
             return name, NAMED_CONSTANTS[name]
-        name = f"G{next(counter)}"
-        while name in taken:
-            name = f"G{next(counter)}"
-        taken.add(name)
-        return name, None
+        return f"G{next(counter)}", None
 
     named: list[tuple[str, GradedElement]] = []
     for elem in elements:

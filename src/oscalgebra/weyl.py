@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -273,48 +274,36 @@ def product_sum(products) -> WeylPolynomial:
     return sum(((x * y).scaled(c) for c, x, y in products), WeylPolynomial())
 
 
+@dataclass(frozen=True, slots=True)
 class GradedElement:
     """A parity-homogeneous polynomial: the unit of superalgebra bookkeeping."""
 
-    __slots__ = ("poly", "parity")
+    poly: WeylPolynomial
+    parity: int
 
-    def __init__(self, poly: WeylPolynomial, parity: int):
-        if parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be {EVEN} or {ODD}, got {parity}")
-        bad = [m for m in poly.terms if m.parity != parity]
+    def __post_init__(self):
+        if self.parity not in (EVEN, ODD):
+            raise ValueError(f"parity must be {EVEN} or {ODD}, got {self.parity}")
+        bad = [m for m, _ in self.poly.items() if m.parity != self.parity]
         if bad:
             raise ValueError(
-                f"mixed-parity polynomial: declared {parity}, "
+                f"mixed-parity polynomial: declared {self.parity}, "
                 f"offending monomials {bad}"
             )
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "parity", parity)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GradedElement is immutable")
 
     @classmethod
-    def of(cls, poly: WeylPolynomial) -> "GradedElement":
-        """Wrap a polynomial, inferring its parity; mixed parity is an error."""
-        parity = poly.parity()
+    def of(cls, x) -> "GradedElement":
+        """Wrap a polynomial, inferring its parity (mixed parity is an
+        error); an element is returned as it is."""
+        if isinstance(x, GradedElement):
+            return x
+        parity = x.parity()
         if parity is None:
-            raise ValueError(f"polynomial is not parity-homogeneous: {poly}")
-        return cls(poly, parity)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedElement):
-            return NotImplemented
-        return self.poly == other.poly and self.parity == other.parity
-
-    def __hash__(self):
-        return hash((self.poly, self.parity))
+            raise ValueError(f"polynomial is not parity-homogeneous: {x}")
+        return cls(x, parity)
 
     def __str__(self) -> str:
         return str(self.poly)
-
-    def __repr__(self) -> str:
-        tag = "even" if self.parity == EVEN else "odd"
-        return f"<GradedElement {tag}: {self.poly}>"
 
 
 def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -329,36 +318,29 @@ def as_poly(x) -> WeylPolynomial:
     return x.poly if isinstance(x, GradedElement) else x
 
 
-def standard_generators() -> dict[str, GradedElement]:
-    """The five ladder bilinears/linears that close under the graded bracket.
+# The five ladder bilinears/linears that close under the graded bracket, plus
+# the identity, keyed by canonical name; built once and read-only, so every
+# reader shares the same elements.  K+ = ½a†a†, K- = ½aa, K3 = ½a†a + ¼ (the
+# rescaled Hamiltonian), and the odd doublet Q = √½·a, Q† = √½·a†.
+NAMED_CONSTANTS = MappingProxyType({
+    "K+": GradedElement(monomial(2, 0, Fraction(1, 2)), EVEN),
+    "K-": GradedElement(monomial(0, 2, Fraction(1, 2)), EVEN),
+    "K3": GradedElement(WeylPolynomial({(1, 1): Fraction(1, 2), (0, 0): Fraction(1, 4)}), EVEN),
+    "Q": GradedElement(monomial(0, 1, ROOT_HALF), ODD),
+    "Q†": GradedElement(monomial(1, 0, ROOT_HALF), ODD),
+    "1": GradedElement(IDENTITY, EVEN),
+})
 
-    K+ = ½a†a†, K- = ½aa, K3 = ½a†a + ¼ (the rescaled Hamiltonian), and the
-    odd doublet Q = √½·a, Q† = √½·a†.
-    """
-    half = Fraction(1, 2)
-    quarter = Fraction(1, 4)
-    return {
-        "K+": GradedElement(monomial(2, 0, half), EVEN),
-        "K-": GradedElement(monomial(0, 2, half), EVEN),
-        "K3": GradedElement(
-            WeylPolynomial({(1, 1): half, (0, 0): quarter}), EVEN
-        ),
-        "Q": GradedElement(monomial(0, 1, ROOT_HALF), ODD),
-        "Q†": GradedElement(monomial(1, 0, ROOT_HALF), ODD),
-    }
+
+def standard_generators() -> dict[str, GradedElement]:
+    """The five generators of NAMED_CONSTANTS, without the identity, in a fresh dict."""
+    return {name: g for name, g in NAMED_CONSTANTS.items() if name != "1"}
 
 
 def hamiltonian() -> WeylPolynomial:
     """H = a†a + ½ in units with ħω = 1, i.e. H = 2·K3."""
-    gens = standard_generators()
-    return gens["K3"].poly.scaled(2)
+    return NAMED_CONSTANTS["K3"].poly.scaled(2)
 
-
-# Standard generators plus the identity, keyed by canonical name; built once
-# and read-only, so every reader shares the same elements.
-NAMED_CONSTANTS = MappingProxyType(
-    {**standard_generators(), "1": GradedElement(IDENTITY, EVEN)}
-)
 
 # K² = ½(K+K- + K-K+) - K3² as (coefficient, left, right) products; the
 # symbolic and the Fock-space suites both sum them in this order

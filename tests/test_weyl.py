@@ -15,6 +15,7 @@ from oscalgebra.weyl import (
     ADAG,
     EVEN,
     IDENTITY,
+    NAMED_CONSTANTS,
     ODD,
     GradedElement,
     LadderMonomial,
@@ -131,6 +132,27 @@ def test_mixed_parity_rejected():
 def test_graded_element_of_infers_parity():
     assert GradedElement.of(A).parity == ODD
     assert GradedElement.of(IDENTITY).parity == EVEN
+
+
+def test_graded_element_is_a_value(gens):
+    q = gens["Q"]
+    twin = GradedElement(monomial(0, 1, ROOT_HALF), ODD)
+    assert twin == q and hash(twin) == hash(q)
+    assert twin != GradedElement(monomial(0, 1), ODD)
+    with pytest.raises(AttributeError):
+        q.parity = EVEN
+    with pytest.raises(AttributeError):
+        q.poly = A
+    assert GradedElement.of(q) is q
+
+
+def test_standard_generators_read_the_table():
+    gens = standard_generators()
+    assert list(gens) == ["K+", "K-", "K3", "Q", "Q†"]
+    for name in gens:
+        assert gens[name] is NAMED_CONSTANTS[name]
+    gens.clear()  # a fresh dict each call: the table is not touched
+    assert len(standard_generators()) == 5 and len(NAMED_CONSTANTS) == 6
 
 
 # -- Casimir -----------------------------------------------------------------------
