@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -409,12 +410,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if config.output_format == "json":
         envelope = {"version": REPORT_VERSION, "config": asdict(config), **payload}
-        out = json.dumps(envelope, indent=2) + "\n"
+        # the encoder's chunks go out in batches, so the whole document is
+        # never held as one string (indent keeps json on its Python encoder)
+        chunks = itertools.chain(json.JSONEncoder(indent=2).iterencode(envelope), "\n")
     else:
         text = render()
-        out = text if isinstance(text, str) else "\n".join(text) + "\n"
+        chunks = iter([text if isinstance(text, str) else "\n".join(text) + "\n"])
     try:
-        sys.stdout.write(out)
+        while batch := list(itertools.islice(chunks, 4096)):
+            sys.stdout.write("".join(batch))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe: point stdout at devnull so the final

@@ -5,6 +5,12 @@ a factor 1/sqrt(2).  Working over Q(s) with s^2 = 1/2 keeps every bracket,
 Casimir value and structure constant exact.  Since x^2 - 1/2 is irreducible
 over Q, Q(s) is a field and Gaussian elimination over it needs no numeric
 rank decisions.
+
+A value is held as three ints (p, q, d) for (p + q*s)/d, with d > 0 and
+gcd(p, q, d) = 1, so arithmetic and == are integer operations and brackets
+and span solves build no `Fraction`.  The parts a = p/d and b = q/d stay
+public as read-only `Fraction` views for hashing, printing and callers that
+read them; a result of arithmetic builds them on first read.
 """
 
 from __future__ import annotations
@@ -38,29 +44,46 @@ def render_radicals(terms) -> str:
 
 
 class Scalar:
-    """Element a + b*s of Q(s), s = sqrt(1/2), with exact rational a, b."""
+    """Element a + b*s of Q(s), s = sqrt(1/2), held as (p + q*s)/d; immutable."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_p", "_q", "_d", "_a", "_b")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _fraction(a))
-        object.__setattr__(self, "b", _fraction(b))
+        a, b = _fraction(a), _fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        self._p = a.numerator * (d // a.denominator)
+        self._q = b.numerator * (d // b.denominator)
+        self._d = d
+        self._a, self._b = a, b
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @property
+    def a(self) -> Fraction:
+        try:
+            return self._a
+        except AttributeError:
+            self._a = Fraction(self._p, self._d)
+            return self._a
+
+    @property
+    def b(self) -> Fraction:
+        try:
+            return self._b
+        except AttributeError:
+            self._b = Fraction(self._q, self._d)
+            return self._b
 
     # -- classification ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self._p and not self._q
 
     @property
     def is_rational(self) -> bool:
-        return not self.b
+        return not self._q
 
     def as_fraction(self) -> Fraction:
-        if self.b:
+        if self._q:
             raise ValueError(f"{self} has an irrational part")
         return self.a
 
@@ -78,18 +101,18 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(self.a + other.a, self.b + other.b)
+        return _sum(self, other._p, other._q, other._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(-self.a, -self.b)
+        return _reduced(-self._p, -self._q, self._d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(self.a - other.a, self.b - other.b)
+        return _sum(self, -other._p, -other._q, other._d)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -99,24 +122,29 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Scalar(self.a * other, self.b * other)
+            return _reduced(self._p * other, self._q * other, self._d)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # (a1 + b1 s)(a2 + b2 s) with s^2 = 1/2
-        return Scalar(
-            self.a * other.a + Fraction(1, 2) * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        p1, q1, p2, q2, d = self._p, self._q, other._p, other._q, self._d * other._d
+        # a rational factor scales both parts; otherwise use s^2 = 1/2
+        if not q2:
+            return _reduced(p1 * p2, q1 * p2, d)
+        if not q1:
+            return _reduced(p1 * p2, p1 * q2, d)
+        return _reduced(2 * p1 * p2 + q1 * q2, 2 * (p1 * q2 + q1 * p2), 2 * d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        # (a + b s)^-1 = (a - b s) / (a^2 - b^2/2); the norm vanishes only at 0
-        norm = self.a * self.a - Fraction(1, 2) * self.b * self.b
+        # d / (p + q s) = 2d (p - q s) / (2p^2 - q^2); the norm vanishes only at 0
+        p, q, d = self._p, self._q, self._d
+        norm = 2 * p * p - q * q
         if not norm:
             raise ZeroDivisionError("scalar is zero")
-        return Scalar(self.a / norm, -self.b / norm)
+        if norm < 0:
+            p, q, norm = -p, -q, -norm
+        return _reduced(2 * d * p, -2 * d * q, norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -136,15 +164,15 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self._p == other._p and self._q == other._q and self._d == other._d
 
     def __hash__(self):
-        if not self.b:
+        if not self._q:
             return hash(self.a)
         return hash((self.a, self.b))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._p or self._q)
 
     # -- conversions ----------------------------------------------------------
 
@@ -160,6 +188,23 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self.a!r}, {self.b!r})"
+
+
+def _reduced(p: int, q: int, d: int) -> Scalar:
+    """The Scalar (p + q*s)/d for d > 0, in lowest terms."""
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    x = object.__new__(Scalar)
+    x._p, x._q, x._d = p, q, d
+    return x
+
+
+def _sum(x: Scalar, p: int, q: int, d: int) -> Scalar:
+    """x + (p + q*s)/d, with a shortcut for a shared denominator."""
+    if x._d == d:
+        return _reduced(x._p + p, x._q + q, d)
+    return _reduced(x._p * d + p * x._d, x._q * d + q * x._d, x._d * d)
 
 
 ZERO = Scalar(0)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -341,6 +342,43 @@ def test_config_block_echoes_run_config_defaults(capsys):
     assert json.loads(out)["config"] == asdict(expected)
     _, out, _ = run_cli(capsys, "structure", "--format", "json")
     assert json.loads(out)["config"] == asdict(RunConfig(output_format="json"))
+
+
+def test_batched_json_output_equals_one_dump(capsys):
+    # spectrum at dim 3000 encodes to far more than one batch of chunks
+    code, out, _ = run_cli(capsys, "spectrum", "--dim", "3000", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class _BoundedStdout(io.StringIO):
+    """A stdout that fails the run once more than `limit` characters arrive,
+    so a writer that repeats its output stops instead of filling memory."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text: str) -> int:
+        if self.tell() + len(text) > self.limit:
+            raise AssertionError(f"more than {self.limit} characters written")
+        return super().write(text)
+
+
+def test_text_output_is_written_once(monkeypatch):
+    run, *rest = cli.COMMANDS["orbit"]
+    rendered = []
+
+    def recording(config):
+        payload, render, status = run(config)
+        return payload, lambda: rendered.append(render()) or rendered[0], status
+
+    monkeypatch.setitem(cli.COMMANDS, "orbit", (recording, *rest))
+    stdout = _BoundedStdout(limit=1 << 20)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["orbit", "--dim", "64"]) == 0
+    # orbit renders a list of lines
+    assert stdout.getvalue() == "\n".join(rendered[0]) + "\n"
 
 
 def _run_with_closed_stdout(*args: str) -> tuple[int, bytes]:

@@ -151,6 +151,11 @@ CUBIC_OVERFLOW_24 = (
 CUBIC_OVERFLOW_40 = CUBIC_OVERFLOW_24 + (
     "G24 G25 G26 G27 G28 G29 G30 G31 G32 G33 G34 G35 G36 G37 G38 G39"
 ).split()
+CUBIC_OVERFLOW_80 = CUBIC_OVERFLOW_40 + (
+    "G40 G41 G42 G43 G44 G45 G46 G47 G48 G49 G50 G51 G52 G53 G54 G55 G56 G57 "
+    "G58 G59 G60 G61 G62 G63 G64 G65 G66 G67 G68 G69 G70 G71 G72 G73 G74 G75 "
+    "G76 G77 G78 G79"
+).split()
 DEGREE_16_BASIS = [
     ("G0", "a†¹⁶"),
     ("Q", "a"),
@@ -174,7 +179,8 @@ DEGREE_16_BASIS = [
 
 
 @pytest.mark.parametrize(
-    "max_dim, names", [(24, CUBIC_OVERFLOW_24), (40, CUBIC_OVERFLOW_40)]
+    "max_dim, names",
+    [(24, CUBIC_OVERFLOW_24), (40, CUBIC_OVERFLOW_40), (80, CUBIC_OVERFLOW_80)],
 )
 def test_cubic_seed_overflow_names(max_dim, names):
     with pytest.raises(ClosureOverflowError) as info:
