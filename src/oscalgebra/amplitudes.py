@@ -6,17 +6,16 @@ exact zero test (the term list is empty), which is what the orbit walker
 relies on instead of a floating threshold.
 
 The public constructor `ExactAmplitude(terms)` normalises arbitrary positive
-radicands with `square_free`.  `root_sum` and the arithmetic produce only
-square-free radicands and wrap {radicand: coefficient} through `_reduced`
-without factoring again: for square-free k1, k2 and g = gcd(k1, k2), the
-factors of √k1·√k2 = g·√((k1/g)(k2/g)) are coprime and square-free.
+radicands with `square_free`.  `root_sum` produces only square-free radicands
+and wraps {radicand: coefficient} through `_reduced` without factoring again:
+for square-free k1, k2 and g = gcd(k1, k2), the factors of
+√k1·√k2 = g·√((k1/g)(k2/g)) are coprime and square-free.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational
 from typing import Iterable
 
 from .scalar import Scalar, render_radicals
@@ -46,7 +45,7 @@ class ExactAmplitude:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[tuple[Rational, int]] = ()):
+    def __init__(self, terms: Iterable[tuple[Fraction | int, int]] = ()):
         data: dict[int, Fraction] = {}
         for coeff, radicand in terms:
             outer, free = square_free(radicand)
@@ -61,10 +60,6 @@ class ExactAmplitude:
     @classmethod
     def zero(cls) -> "ExactAmplitude":
         return cls()
-
-    @classmethod
-    def rational(cls, c) -> "ExactAmplitude":
-        return cls([(Fraction(c), 1)])
 
     @classmethod
     def _reduced(cls, data: dict[int, Fraction]) -> "ExactAmplitude":
@@ -108,53 +103,9 @@ class ExactAmplitude:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if all(k == 1 for k, _ in self._terms):
-            return self._terms[0][1]
-        raise ValueError(f"{self} is irrational")
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, ExactAmplitude):
-            return NotImplemented
-        data = dict(self._terms)
-        for k, c in other._terms:
-            data[k] = data.get(k, 0) + c
-        return ExactAmplitude._reduced(data)
-
-    def __neg__(self):
-        return ExactAmplitude._reduced({k: -c for k, c in self._terms})
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactAmplitude):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            return ExactAmplitude._reduced({k: c * other for k, c in self._terms})
-        if not isinstance(other, ExactAmplitude):
-            return NotImplemented
-        # √k1·√k2 = g·√((k1/g)(k2/g)) with g = gcd: square-free times
-        # square-free stays square-free after pulling the gcd out.
-        data: dict[int, Fraction] = {}
-        for k1, c1 in self._terms:
-            for k2, c2 in other._terms:
-                g = math.gcd(k1, k2)
-                k = (k1 // g) * (k2 // g)
-                data[k] = data.get(k, 0) + c1 * c2 * g
-        return ExactAmplitude._reduced(data)
-
-    __rmul__ = __mul__
-
     # -- value semantics ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Rational):
-            other = ExactAmplitude.rational(other)
         if not isinstance(other, ExactAmplitude):
             return NotImplemented
         return self._terms == other._terms

@@ -11,15 +11,14 @@ Stored entries are exact truncations of the infinite matrix; truncation error
 enters only through matrix products, and only within 2·degree rows of the
 cutoff.  That gives every product check a trusted window of exact indices.
 
-The orbit walker never touches floats: reachability edges come from the
-exact amplitude arithmetic, so "zero" means the empty term list.
+The orbit walker never touches floats: reachability edges come from exact
+amplitudes, so "zero" means the empty term list.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -30,7 +29,7 @@ from .amplitudes import ExactAmplitude
 from .relations import all_relations
 from .report import VerificationReport, numeric_check
 from .scalar import Scalar
-from .weyl import NAMED_CONSTANTS, WeylPolynomial, as_poly, hamiltonian
+from .weyl import NAMED_CONSTANTS, as_poly, hamiltonian
 
 
 @dataclass(frozen=True)
@@ -129,11 +128,14 @@ def ladder_amplitude(x, n: int) -> dict[int, ExactAmplitude]:
 
 
 def norm_condition(n: int) -> tuple[Fraction, Fraction]:
-    """Exact (‖K+|n⟩‖², ‖K-|n⟩‖²), both provably non-negative by construction."""
+    """Exact (‖K+|n⟩‖², ‖K-|n⟩‖²) as ⟨n|x†x|n⟩ = Σ c_pp·n!/(n-p)!, summed
+    over the diagonal words c_pp·(a†)^p a^p of the normal-ordered x†x; the
+    words off the diagonal move |n⟩ and drop out."""
     values = []
     for name in ("K+", "K-"):
-        amps = ladder_amplitude(NAMED_CONSTANTS[name], n).values()
-        values.append(sum((amp * amp for amp in amps), ExactAmplitude.zero()).as_fraction())
+        x = NAMED_CONSTANTS[name].poly
+        diagonal = ((mono.p, c) for mono, c in (x.adjoint() * x).items() if mono.p == mono.q)
+        values.append(sum((c * math.perm(n, p) for p, c in diagonal), Scalar(0)).as_fraction())
     return values[0], values[1]
 
 
@@ -243,26 +245,15 @@ def relation_residuals(dim: int, tolerance: float = 1e-12) -> VerificationReport
         )
     dtype = np.longdouble
     matrix = functools.cache(functools.partial(to_matrix, dim=dim, dtype=dtype))
-    # the table repeats products ({x,x} lists x·x twice, and the invariant
-    # reuses [K+,K-]'s): build each once and drop it after its last use
-    uses = Counter((x, y) for rel in relations for _, x, y in rel.products)
-    products: dict[tuple[WeylPolynomial, WeylPolynomial], FockOperator] = {}
-
-    def product(x: WeylPolynomial, y: WeylPolynomial) -> FockOperator:
-        if (x, y) not in products:
-            products[x, y] = diagonal_product(matrix(x), matrix(y))
-        uses[x, y] -= 1
-        return products[x, y] if uses[x, y] else products.pop((x, y))
-
     report = VerificationReport()
     for rel in relations:
         # Σ c·(x·y) - rhs, band by band, in the order the products are listed;
         # a missing band is 0
         diff: dict[int, np.ndarray] = {}
         for c, x, y in rel.products:
-            for d, band in product(x, y).bands.items():
+            for d, band in diagonal_product(matrix(x), matrix(y)).bands.items():
                 diff[d] = diff.get(d, 0) + dtype(c) * band
-        # a right side is read once: built outside the memo, it is freed here
+        # a right side is read once: built outside the `matrix` cache, freed here
         for d, band in to_matrix(rel.rhs, dim, dtype).bands.items():
             diff[d] = diff.get(d, 0) - band
         diff = {d: np.abs(band) for d, band in diff.items()}

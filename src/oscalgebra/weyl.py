@@ -128,10 +128,6 @@ class WeylPolynomial:
 
     # -- structure ------------------------------------------------------------
 
-    @property
-    def terms(self) -> dict[LadderMonomial, Scalar]:
-        return dict(self._terms)
-
     def items(self):
         return self._terms.items()
 
@@ -365,7 +361,7 @@ def canonical_name(poly: WeylPolynomial) -> str | None:
         ref = gen.poly
         if poly._terms.keys() != ref._terms.keys():
             continue
-        mono = next(iter(ref.terms))
+        mono = next(iter(ref._terms))
         ratio = poly.coefficient(*mono) / ref.coefficient(*mono)
         if poly == ref.scaled(ratio):
             return name

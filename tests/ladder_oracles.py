@@ -1,9 +1,9 @@
 """Independent brute-force routes for checking the library.
 
 Everything here deliberately avoids the closed-form contraction product,
-the ExactAmplitude radical arithmetic and the matrix builder: the rewriter
-applies the single rule a·a† → a†·a + 1 one randomly chosen spot at a time,
-and the ladder walkers apply one operator per step straight from
+`ExactAmplitude.root_sum` and the matrix builder: the rewriter applies the
+single rule a·a† → a†·a + 1 one randomly chosen spot at a time, and the
+ladder walkers apply one operator per step straight from
 a|n⟩ = √n|n-1⟩, a†|n⟩ = √(n+1)|n+1⟩.  The exact amplitude oracle sends
 every term through the public, normalising ExactAmplitude constructor only,
 and the entry-by-entry matrix builder fills one band entry at a time.

@@ -186,7 +186,7 @@ def test_parity_anticommutes_with_odd_generators(gens):
 
 
 def test_ladder_amplitude_examples(gens):
-    assert ladder_amplitude(ADAG, 0) == {1: ExactAmplitude.rational(1)}
+    assert ladder_amplitude(ADAG, 0) == {1: ExactAmplitude([(1, 1)])}
     assert ladder_amplitude(gens["K+"], 0) == {
         2: ExactAmplitude([(Fraction(1, 2), 2)])
     }
@@ -202,7 +202,7 @@ def test_ladder_amplitude_negative_index_rejected():
 def test_ladder_amplitude_merges_targets(gens):
     # a†a + ½ is diagonal: single target with the exact eigenvalue
     amps = ladder_amplitude(hamiltonian(), 5)
-    assert amps == {5: ExactAmplitude.rational(Fraction(11, 2))}
+    assert amps == {5: ExactAmplitude([(Fraction(11, 2), 1)])}
 
 
 def test_ladder_amplitude_exact_cancellation():
@@ -215,7 +215,7 @@ def test_ladder_amplitude_exact_cancellation():
 
 def test_casimir_acts_as_constant_on_states():
     assert ladder_amplitude(casimir(), 5) == {
-        5: ExactAmplitude.rational(Fraction(3, 16))
+        5: ExactAmplitude([(Fraction(3, 16), 1)])
     }
 
 
@@ -294,6 +294,16 @@ def test_norm_condition_closed_forms():
         m = Fraction(2 * n + 1, 4)
         assert plus == Fraction(3, 16) + m * (m + 1)
         assert minus == Fraction(3, 16) + m * (m - 1)
+
+
+def test_norm_condition_reads_no_amplitudes(monkeypatch):
+    # the norms come from ⟨n|x†x|n⟩ on the symbolic product, not from amplitudes
+    def forbidden(*args, **kwargs):
+        raise AssertionError("norm_condition built an amplitude")
+
+    monkeypatch.setattr("oscalgebra.fock.ladder_amplitude", forbidden)
+    monkeypatch.setattr(ExactAmplitude, "root_sum", forbidden)
+    assert norm_condition(7) == (Fraction(18), Fraction(21, 2))
 
 
 # -- orbits ------------------------------------------------------------------------

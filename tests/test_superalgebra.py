@@ -291,7 +291,7 @@ def _combination(coeffs, elements):
 
 
 def _sympy_rank(sympy, elements):
-    monos = sorted({m for e in elements for m in e.poly.terms})
+    monos = sorted({m for e in elements for m, _ in e.poly.items()})
     if not monos:
         return 0
 
