@@ -28,6 +28,7 @@ from .weyl import (
     commutator,
     graded_bracket,
     graded_sign,
+    product_sum,
 )
 
 GRADED = "graded"
@@ -304,11 +305,14 @@ def graded_jacobi_check(basis: AlgebraBasis) -> VerificationReport:
     report = VerificationReport()
     for i, j, k in itertools.combinations_with_replacement(range(basis.dim), 3):
         x, y, z = basis[i][1], basis[j][1], basis[k][1]
-        total = sum(
-            (graded_bracket(u, graded_bracket(v, w)).poly.scaled(graded_sign(u.parity, w.parity))
-             for u, v, w in ((x, y, z), (y, z, x), (z, x, y))),
-            WeylPolynomial(),
-        )
+        # each term (-1)^(|u||w|)·[u, B} with B = [v, w} is the two products
+        # u·B and -(-1)^(|u||B|)·B·u: one kernel call over six products
+        products = []
+        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+            b, sign = graded_bracket(v, w), graded_sign(u.parity, w.parity)
+            products += [(sign, u.poly, b.poly),
+                         (-sign * graded_sign(u.parity, b.parity), b.poly, u.poly)]
+        total = product_sum(products)
         name = f"jacobi({basis.names[i]},{basis.names[j]},{basis.names[k]})"
         report.checks.append(
             symbolic_check(name, total.is_zero, "" if total.is_zero else f"residual {total}")

@@ -14,7 +14,11 @@ induces,
 
 which is what "apply the rule until nothing is left to rewrite" converges to
 regardless of rewrite order (the test suite checks this against a randomly
-scheduled rewriter).
+scheduled rewriter).  One integer kernel, `product_sum`, evaluates every
+product: x·y, both brackets, the Casimir and relation sums and the graded
+Jacobi sum are each one call over (c, x, y) triples.  It brings all terms to
+one common denominator D, accumulates each monomial's coefficient as two
+integers P, Q for (P + Q·√½)/D, and reduces each surviving term once.
 
 The mod-2 ladder degree grades the algebra: the bracket of two odd elements
 is an anticommutator, every other bracket is a commutator.
@@ -24,12 +28,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
-from .scalar import ROOT_HALF, Scalar
+from .scalar import ROOT_HALF, Scalar, _reduced
 
 EVEN = 0
 ODD = 1
@@ -82,21 +87,6 @@ def _as_scalar(c) -> Scalar:
     return Scalar(c)  # raises TypeError on floats: coefficients stay exact
 
 
-def _contractions(x: WeylPolynomial, y: WeylPolynomial):
-    """Terms of x·y before collection, one per contraction of a term pair.
-
-    Normal ordering (a†)^p a^q (a†)^r a^s by contracting k of the q
-    annihilators against the r creators yields the integer weight
-    k!·C(q,k)·C(r,k) on (a†)^(p+r-k) a^(q+s-k).
-    """
-    for mx, cx in x.items():
-        for my, cy in y.items():
-            c = cx * cy
-            for k in range(min(mx.q, my.p) + 1):
-                weight = math.factorial(k) * math.comb(mx.q, k) * math.comb(my.p, k)
-                yield LadderMonomial(mx.p + my.p - k, mx.q + my.q - k), c * weight
-
-
 class WeylPolynomial:
     """Finite Q(√½)-linear combination of normal-ordered ladder monomials.
 
@@ -104,7 +94,7 @@ class WeylPolynomial:
     equality.  Instances are immutable; every operation returns a new value.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_integers")
 
     def __init__(self, terms: Mapping | Iterable | None = None):
         data: dict[LadderMonomial, Scalar] = {}
@@ -122,6 +112,25 @@ class WeylPolynomial:
                 data.pop(mono, None)
         object.__setattr__(self, "_terms", data)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "WeylPolynomial":
+        """Hold `terms` as is; the caller vouches for canonical form."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
+
+    def _integer_terms(self) -> tuple[int, list[tuple[int, int, int, int]]]:
+        """(D, [(p, q, P, Q)]) with self = Σ (P + Q·√½)/D·(a†)^p a^q, cached."""
+        try:
+            return self._integers
+        except AttributeError:
+            d = math.lcm(*[c._d for c in self._terms.values()])
+            terms = [(m.p, m.q, c._p * (d // c._d), c._q * (d // c._d))
+                     for m, c in self._terms.items()]
+            object.__setattr__(self, "_integers", (d, terms))
+            return self._integers
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylPolynomial is immutable")
@@ -178,7 +187,7 @@ class WeylPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, WeylPolynomial):
-            return WeylPolynomial(_contractions(self, other))
+            return product_sum(((1, self, other),))
         try:
             return self.scaled(other)
         except TypeError:
@@ -249,11 +258,11 @@ ANTICOMMUTATOR = "anticommutator"
 
 
 def commutator(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
-    return x * y - y * x
+    return product_sum(((1, x, y), (-1, y, x)))
 
 
 def anticommutator(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
-    return x * y + y * x
+    return product_sum(((1, x, y), (1, y, x)))
 
 
 def graded_sign(px: int, py: int) -> int:
@@ -266,8 +275,35 @@ def graded_sign(px: int, py: int) -> int:
 
 
 def product_sum(products) -> WeylPolynomial:
-    """Σ c·(x·y) over a sequence of (coefficient, left, right) products."""
-    return sum(((x * y).scaled(c) for c, x, y in products), WeylPolynomial())
+    """Σ c·(x·y) over (c, x, y) products, c an int or a Fraction: the one
+    product kernel.  Contracting k of the q annihilators of (a†)^p a^q with
+    the r creators of (a†)^r a^s gives the integer weight
+    w_k = k!·C(q,k)·C(r,k) on (a†)^(p+r-k) a^(q+s-k).  Over one common
+    denominator D each monomial sums two integers P, Q for (P + Q·√½)/D, in
+    the order of its first contraction, and is reduced once."""
+    operands = []
+    for c, x, y in products:
+        (dx, xs), (dy, ys) = x._integer_terms(), y._integer_terms()
+        # (xp + xq·s)(yp + yq·s) = (2·xp·yp + xq·yq + 2(xp·yq + xq·yp)·s) / 2
+        operands.append((c.numerator, 2 * dx * dy * c.denominator, xs, ys))
+    d = math.lcm(*[den for _, den, _, _ in operands])
+    ps: dict[tuple[int, int], int] = {}
+    qs: dict[tuple[int, int], int] = {}
+    for num, den, xs, ys in operands:
+        f = num * (d // den)
+        for p, q, xp, xq in xs:
+            for r, s, yp, yq in ys:
+                cp, cq = (2 * xp * yp + xq * yq) * f, 2 * (xp * yq + xq * yp) * f
+                w = 1
+                for k in range(min(q, r) + 1):
+                    key = (p + r - k, q + s - k)
+                    ps[key] = ps.get(key, 0) + w * cp
+                    qs[key] = qs.get(key, 0) + w * cq
+                    w = w * (q - k) * (r - k) // (k + 1)  # w_(k+1) from w_k
+    return WeylPolynomial._wrap({
+        LadderMonomial._make(key): _reduced(p_num, qs[key], d)
+        for key, p_num in ps.items() if p_num or qs[key]
+    })
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,8 +27,12 @@ def weyl_polys(max_degree: int = 4, max_terms: int = 3):
 
 
 @st.composite
-def graded_elements(draw, max_degree: int = 4, max_terms: int = 3):
-    parity = draw(st.sampled_from((EVEN, ODD)))
-    mono = monomials(max_degree).filter(lambda pq: (pq[0] + pq[1]) % 2 == parity)
+def graded_elements(draw, max_degree: int = 4, max_terms: int = 3, parity: int | None = None):
+    """A parity-homogeneous element; its parity is drawn unless given."""
+    if parity is None:
+        parity = draw(st.sampled_from((EVEN, ODD)))
+    mono = st.sampled_from(
+        [(p, d - p) for d in range(parity, max_degree + 1, 2) for p in range(d + 1)]
+    )
     terms = draw(st.lists(st.tuples(mono, scalars), min_size=0, max_size=max_terms))
     return GradedElement(WeylPolynomial(terms), parity)

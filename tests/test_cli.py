@@ -381,14 +381,19 @@ def test_text_output_is_written_once(monkeypatch):
     assert stdout.getvalue() == "\n".join(rendered[0]) + "\n"
 
 
+def _package_env() -> dict[str, str]:
+    """The environment with this package first on PYTHONPATH, for a child python."""
+    src = str(Path(oscalgebra.__file__).parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def _run_with_closed_stdout(*args: str) -> tuple[int, bytes]:
     """Run python with the package on its path and the read end of its stdout
     pipe closed at once; returns (exit status, stderr)."""
-    src = str(Path(oscalgebra.__file__).parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.Popen(
-        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_package_env(),
     )
     proc.stdout.close()
     _, err = proc.communicate(timeout=300)
@@ -426,3 +431,31 @@ def test_text_is_rendered_only_for_text_format(command, monkeypatch):
     for fmt, expected in (("json", 0), ("text", 1)):
         assert main([*argv, "--format", fmt]) == 0
         assert len(renders) == expected
+
+
+def _run_fresh(*argv: str) -> tuple[int, str, str]:
+    """One CLI call in a new interpreter: (exit status, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscalgebra", *argv],
+        capture_output=True, text=True, env=_package_env(), timeout=300,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_a_sequence_of_calls_like_fresh_processes(capsys):
+    sequence = (
+        ("verify", "--max-dim", "4"),  # an option verify does not read: exit 2
+        ("verify", "--dim", "64", "--format", "json"),
+        ("closure", "--set", "so21"),
+    )
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, *capsys.readouterr()))
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    assert cli.build_parser.cache_info().currsize == 1
+    assert cli.build_parser() is cli.build_parser()
+    assert in_process == [_run_fresh(*argv) for argv in sequence]

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscalgebra import superalgebra
 from oscalgebra.scalar import Scalar
@@ -18,12 +20,14 @@ from oscalgebra.superalgebra import (
 )
 from oscalgebra.weyl import (
     EVEN,
+    ODD,
     GradedElement,
     IDENTITY,
     WeylPolynomial,
     monomial,
     standard_generators,
 )
+from strategies import graded_elements, nonzero_scalars
 
 GEN_ORDER = ("K+", "K-", "K3", "Q", "Q†")
 ZERO = WeylPolynomial()
@@ -434,6 +438,27 @@ def test_jacobi_includes_repeated_entries(osp_basis):
     report = graded_jacobi_check(osp_basis)
     names = {c.name for c in report.checks}
     assert "jacobi(Q,Q,Q†)" in names
+
+
+@pytest.mark.parametrize(
+    "parities", [(EVEN, EVEN, ODD), (EVEN, ODD, ODD), (ODD, ODD, ODD)], ids=["eeo", "eoo", "ooo"]
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_jacobi_holds_on_non_closed_triples(parities, data):
+    # the graded Jacobi identity holds for any homogeneous elements of an
+    # associative superalgebra, so each of the fused sum's six signs shows;
+    # distinct leading words (a†)^i a^(degree-i) over a random part of lower
+    # degree keep the three elements independent
+    elements = []
+    for i, parity in enumerate(parities):
+        degree = 4 if parity == EVEN else 3
+        lead = monomial(i, degree - i, data.draw(nonzero_scalars))
+        rest = data.draw(graded_elements(max_degree=2, max_terms=2, parity=parity))
+        elements.append((f"x{i}", GradedElement(lead + rest.poly, parity)))
+    report = graded_jacobi_check(AlgebraBasis(tuple(elements)))
+    assert len(report.checks) == 10
+    assert report.passed, report.failures
 
 
 def test_jacobi_from_constants_passes(osp_basis):

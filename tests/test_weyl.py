@@ -23,10 +23,12 @@ from oscalgebra.weyl import (
     anticommutator,
     canonical_name,
     casimir,
+    commutator,
     graded_bracket,
     graded_sign,
     hamiltonian,
     monomial,
+    product_sum,
     standard_generators,
 )
 from strategies import graded_elements, weyl_polys
@@ -231,6 +233,33 @@ def test_canonical_name(gens):
 def test_normal_order_confluence(x, y, seed):
     rng = random.Random(seed)
     assert x * y == rewrite_multiply(x, y, rng)
+
+
+# product_sum coefficients: Fractions whose denominator is above 1
+kernel_coefficients = st.fractions(-6, 6, max_denominator=12).filter(lambda c: c.denominator > 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(kernel_coefficients, weyl_polys(), weyl_polys()), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_product_sum_matches_rewriting(products, seed):
+    rng = random.Random(seed)
+    expected = sum(
+        (rewrite_multiply(x, y, rng).scaled(c) for c, x, y in products), WeylPolynomial()
+    )
+    total = product_sum(products)
+    assert total == expected
+    # canonical form without __init__: monomial keys and no zero coefficient
+    assert all(type(m) is LadderMonomial and c for m, c in total.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(weyl_polys(), weyl_polys())
+def test_brackets_match_assembled_products(x, y):
+    assert commutator(x, y) == x * y + (y * x).scaled(-1)
+    assert anticommutator(x, y) == x * y + y * x
 
 
 @settings(max_examples=200, deadline=None)
