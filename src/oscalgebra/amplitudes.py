@@ -2,7 +2,7 @@
 
 Ladder actions produce amplitudes like √n and ½√((n+1)(n+2)).  Keeping them
 as rational coefficients attached to square-free integer radicands gives an
-exact zero test (the term list is empty), which is what the orbit walker
+exact zero test (the term list is empty), which is what the orbit partition
 relies on instead of a floating threshold.
 
 The public constructor `ExactAmplitude(terms)` normalises arbitrary positive

@@ -11,7 +11,7 @@ Stored entries are exact truncations of the infinite matrix; truncation error
 enters only through matrix products, and only within 2·degree rows of the
 cutoff.  That gives every product check a trusted window of exact indices.
 
-The orbit walker never touches floats: reachability edges come from exact
+The orbit partition never touches floats: reachability edges come from exact
 amplitudes, so "zero" means the empty term list.
 """
 
@@ -153,9 +153,13 @@ class OrbitReport:
 
 
 def orbit(seed: int, generators: Mapping, dim: int) -> OrbitReport:
-    """Breadth-first reachability between number states inside the trusted
-    window, with an edge n → m whenever some generator (or its adjoint, i.e.
-    the reverse direction) has a nonzero exact amplitude from n to m.
+    """Reachability between number states inside the trusted window, with an
+    edge n → m whenever some generator (or its adjoint, i.e. the reverse
+    direction) has a nonzero exact amplitude from n to m.
+
+    Union-find hooks the larger root under the smaller, so every parent is a
+    smaller state and every root its block's smallest: one ascending pass
+    then points each state at its root and lists the blocks in that order.
 
     `generators` maps each name to a polynomial or graded element."""
     named = [(name, as_poly(g)) for name, g in generators.items()]
@@ -171,35 +175,34 @@ def orbit(seed: int, generators: Mapping, dim: int) -> OrbitReport:
     if not 0 <= seed < window:
         raise ValueError(f"seed {seed} outside the trusted window [0, {window})")
 
-    neighbors: list[set[int]] = [set() for _ in range(window)]
+    root = list(range(window))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]  # path halving
+            v = root[v]
+        return v
+
     for n in range(window):
         for _, poly in named:
             for m in ladder_amplitude(poly, n):
                 if m != n and m < window:
-                    neighbors[n].add(m)
-                    neighbors[m].add(n)  # adjoint direction
+                    a, b = find(n), find(m)
+                    if a < b:
+                        root[b] = a
+                    elif b < a:
+                        root[a] = b
 
-    partition = []
-    seen: set[int] = set()
-    for start in range(window):
-        if start in seen:
-            continue
-        block, queue = [], [start]
-        seen.add(start)
-        while queue:
-            v = queue.pop()
-            block.append(v)
-            for w in neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        partition.append(tuple(sorted(block)))
+    blocks: dict[int, list[int]] = {}
+    for n in range(window):
+        root[n] = root[root[n]]
+        blocks.setdefault(root[n], []).append(n)
     return OrbitReport(
         seed=seed,
         generator_names=tuple(name for name, _ in named),
         window=window,
-        reachable=next(block for block in partition if seed in block),
-        partition=tuple(partition),
+        reachable=tuple(blocks[root[seed]]),
+        partition=tuple(map(tuple, blocks.values())),
     )
 
 

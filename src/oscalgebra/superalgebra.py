@@ -215,17 +215,15 @@ def close_under_bracket(
         name, _ = fresh_name(elem.poly)
         named.append((name, elem))
 
-    added: list[str] = []
     generations = 0
     done = 0  # pairs within the first `done` elements were bracketed before
-    while True:
+    while done < len(named):
         generations += 1
-        snapshot = list(named)
-        grew = False
-        for i, j in itertools.combinations_with_replacement(range(len(snapshot)), 2):
+        size = len(named)
+        for i, j in itertools.combinations_with_replacement(range(size), 2):
             if j < done:
                 continue  # already inside the span, or added to it
-            xi, xj = snapshot[i][1], snapshot[j][1]
+            xi, xj = named[i][1], named[j][1]
             if i == j and (mode != GRADED or graded_sign(xi.parity, xi.parity) > 0):
                 continue  # [x, x] = 0; only {x, x} can produce anything
             result = _bracket_in_mode(xi, xj, mode)
@@ -235,15 +233,11 @@ def close_under_bracket(
                 raise ClosureOverflowError(max_dim, [n for n, _ in named])
             name, normalized = fresh_name(result.poly)
             named.append((name, normalized if normalized is not None else result))
-            added.append(name)
-            grew = True
-        if not grew:
-            break
-        done = len(snapshot)
+        done = size
     return ClosureResult(
         basis=AlgebraBasis(tuple(named)),
         generations=generations,
-        added=tuple(added),
+        added=tuple(name for name, _ in named[len(elements):]),
     )
 
 
@@ -303,15 +297,17 @@ def graded_jacobi_check(basis: AlgebraBasis) -> VerificationReport:
     """Evaluate (-1)^(|x||z|)·[x,[y,z}} + cyclic for every unordered triple
     (with repetition) of basis elements; each must be the zero polynomial."""
     report = VerificationReport()
+    inner = {(v, w): graded_bracket(basis[v][1], basis[w][1])
+             for v, w in itertools.product(range(basis.dim), repeat=2)}
     for i, j, k in itertools.combinations_with_replacement(range(basis.dim), 3):
-        x, y, z = basis[i][1], basis[j][1], basis[k][1]
         # each term (-1)^(|u||w|)·[u, B} with B = [v, w} is the two products
         # u·B and -(-1)^(|u||B|)·B·u: one kernel call over six products
         products = []
-        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            b, sign = graded_bracket(v, w), graded_sign(u.parity, w.parity)
-            products += [(sign, u.poly, b.poly),
-                         (-sign * graded_sign(u.parity, b.parity), b.poly, u.poly)]
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            xu, b = basis[u][1], inner[v, w]
+            sign = graded_sign(xu.parity, basis[w][1].parity)
+            products += [(sign, xu.poly, b.poly),
+                         (-sign * graded_sign(xu.parity, b.parity), b.poly, xu.poly)]
         total = product_sum(products)
         name = f"jacobi({basis.names[i]},{basis.names[j]},{basis.names[k]})"
         report.checks.append(

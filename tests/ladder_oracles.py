@@ -7,6 +7,9 @@ ladder walkers apply one operator per step straight from
 a|n⟩ = √n|n-1⟩, a†|n⟩ = √(n+1)|n+1⟩.  The exact amplitude oracle sends
 every term through the public, normalising ExactAmplitude constructor only,
 and the entry-by-entry matrix builder fills one band entry at a time.
+The orbit reference takes its edges from `ladder_amplitude`, as `orbit`
+does, and checks only the partition: a breadth-first search over
+neighbour sets instead of union-find.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from oscalgebra.amplitudes import ExactAmplitude
+from oscalgebra.fock import OrbitReport, ladder_amplitude
 from oscalgebra.scalar import Scalar
-from oscalgebra.weyl import WeylPolynomial
+from oscalgebra.weyl import WeylPolynomial, as_poly
 
 
 def normal_order_word(word: tuple[str, ...], rng) -> dict[tuple[int, int], int]:
@@ -131,4 +135,42 @@ def is_reduced(amp: ExactAmplitude) -> bool:
         radicands == sorted(set(radicands))
         and all(k % (d * d) for k in radicands for d in range(2, math.isqrt(k) + 1))
         and all(isinstance(c, Fraction) and c != 0 for _, c in amp.terms)
+    )
+
+
+def orbit_by_bfs(seed: int, generators, dim: int) -> OrbitReport:
+    """The orbit partition by breadth-first search: an edge n ↔ m inside the
+    trusted window [0, dim − 2·degree) wherever some generator's exact
+    amplitude n → m is nonzero; blocks ordered by smallest state."""
+    named = [(name, as_poly(g)) for name, g in generators.items()]
+    window = dim - 2 * max(poly.degree for _, poly in named)
+    neighbors: list[set[int]] = [set() for _ in range(window)]
+    for n in range(window):
+        for _, poly in named:
+            for m in ladder_amplitude(poly, n):
+                if m != n and m < window:
+                    neighbors[n].add(m)
+                    neighbors[m].add(n)  # adjoint direction
+
+    partition = []
+    seen: set[int] = set()
+    for start in range(window):
+        if start in seen:
+            continue
+        block, queue = [], [start]
+        seen.add(start)
+        while queue:
+            v = queue.pop()
+            block.append(v)
+            for w in neighbors[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        partition.append(tuple(sorted(block)))
+    return OrbitReport(
+        seed=seed,
+        generator_names=tuple(name for name, _ in named),
+        window=window,
+        reachable=next(block for block in partition if seed in block),
+        partition=tuple(partition),
     )

@@ -14,6 +14,7 @@ from ladder_oracles import (
     is_reduced,
     ladder_amplitude_by_normalising,
     monomial_target_and_square,
+    orbit_by_bfs,
     to_matrix_by_entries,
 )
 from oscalgebra.amplitudes import ExactAmplitude
@@ -37,7 +38,7 @@ from oscalgebra.weyl import (
     monomial,
     standard_generators,
 )
-from strategies import weyl_polys
+from strategies import nonzero_scalars, weyl_polys
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,10 @@ def gens():
 
 def so21_set(gens):
     return {n: gens[n] for n in ("K+", "K-", "K3")}
+
+
+def osp_set(gens):
+    return {n: gens[n] for n in ("K+", "K-", "K3", "Q", "Q†")}
 
 
 # -- matrix construction ----------------------------------------------------------
@@ -338,12 +343,12 @@ def test_odd_generators_connect_everything(gens):
 
 
 def test_full_five_generator_set_single_orbit(gens):
-    report = orbit(7, {n: gens[n] for n in ("K+", "K-", "K3", "Q", "Q†")}, 64)
+    report = orbit(7, osp_set(gens), 64)
     assert report.orbit_count == 1
 
 
 def test_orbit_partitions_at_dim_3000(gens):
-    osp = orbit(0, {n: gens[n] for n in ("K+", "K-", "K3", "Q", "Q†")}, 3000)
+    osp = orbit(0, osp_set(gens), 3000)
     assert osp.partition == (tuple(range(2996)),)
     so21 = orbit(1, so21_set(gens), 3000)
     assert so21.partition == (tuple(range(0, 2996, 2)), tuple(range(1, 2996, 2)))
@@ -354,6 +359,46 @@ def test_diagonal_generator_gives_singletons(gens):
     report = orbit(5, {"K3": gens["K3"]}, 64)
     assert report.reachable == (5,)
     assert report.orbit_count == report.window
+
+
+def test_planted_root_splits_off_a_finite_block():
+    # a†²a − 3a† = a†(a†a − 3): the edge n → n+1 vanishes exactly at n = 3
+    report = orbit(0, {"x": ADAG * ADAG * A - ADAG.scaled(3)}, 20)
+    assert report.partition == ((0, 1, 2, 3), tuple(range(4, 14)))
+    assert report.reachable == (0, 1, 2, 3)
+
+
+@st.composite
+def orbit_generators(draw):
+    """1–3 nonzero polynomials: random ones, one-directional standard
+    generators, and c·a†ᵏ(a†a − r) with an edge n → n+k missing at n = r."""
+    planted = st.builds(
+        lambda c, k, r: (monomial(k + 1, 1) - monomial(k, 0, r)).scaled(c),
+        nonzero_scalars, st.integers(0, 2), st.integers(0, 6),
+    )
+    standard = st.sampled_from([g.poly for g in standard_generators().values()])
+    pick = st.one_of(weyl_polys(max_degree=3).filter(bool), planted, standard)
+    polys = draw(st.lists(pick, min_size=1, max_size=3))
+    return {f"x{i}": poly for i, poly in enumerate(polys)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbit_generators(), st.integers(12, 40), st.data())
+def test_orbit_equals_bfs(generators, dim, data):
+    window = dim - 2 * max(poly.degree for poly in generators.values())
+    seed = data.draw(st.integers(0, window - 1))
+    assert orbit(seed, generators, dim) == orbit_by_bfs(seed, generators, dim)
+
+
+def test_orbit_memory_per_state_is_small(gens):
+    orbit(0, osp_set(gens), 64)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        report = orbit(0, osp_set(gens), 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * report.window  # a neighbour set per state costs about 350 B
 
 
 def test_orbit_seed_validation(gens):

@@ -440,6 +440,20 @@ def test_jacobi_includes_repeated_entries(osp_basis):
     assert "jacobi(Q,Q,Q†)" in names
 
 
+def test_jacobi_brackets_each_ordered_pair_once(osp_basis, monkeypatch):
+    calls = collections.Counter()
+    original = superalgebra.graded_bracket
+
+    def counting(x, y):
+        calls[x, y] += 1
+        return original(x, y)
+
+    monkeypatch.setattr(superalgebra, "graded_bracket", counting)
+    assert graded_jacobi_check(osp_basis).passed
+    assert sum(calls.values()) == osp_basis.dim**2
+    assert max(calls.values()) == 1
+
+
 @pytest.mark.parametrize(
     "parities", [(EVEN, EVEN, ODD), (EVEN, ODD, ODD), (ODD, ODD, ODD)], ids=["eeo", "eoo", "ooo"]
 )
