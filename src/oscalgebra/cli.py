@@ -8,11 +8,16 @@ Subcommands
     spectrum   per-level table: energy, K3 eigenvalue, parity, norms
 
 Each subcommand is a pure function ``RunConfig -> (payload, render, status)``;
-``COMMANDS`` lists it with its help string and the options it reads, and the
-parser is built from that table.  ``main`` is the single emit point: it
-validates options, maps ``ClosureOverflowError`` to status 1 and
-``ValueError`` to status 2, and prints either the one JSON envelope
-``{"version", "config", **payload}`` or the text, rendered only then.
+``COMMANDS`` lists it with its help string and the options it reads.  Argv of
+the plain form ``command (--option value)*``, whose options the command reads
+and whose values convert, pass their choices and do not start with ``-``, is
+read off that table; any other argv (help, ``--opt=value``, abbreviations,
+usage errors) goes to the argparse parser built from it.
+
+``main`` is the single emit point: it validates options, maps
+``ClosureOverflowError`` to status 1 and ``ValueError`` to status 2, and
+prints either the one JSON envelope ``{"version", "config", **payload}`` or
+the text, rendered only then.
 
 Reports are deterministic: the same configuration yields byte-identical
 output.
@@ -389,6 +394,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_plain(argv: list[str]) -> dict | None:
+    """``vars(build_parser().parse_args(argv))`` for plain argv (see the module
+    docstring); ``None`` for any other, which argparse then parses and reports."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, _, options, defaults = COMMANDS[argv[0]]
+    args = {"command": argv[0], **defaults}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        if option not in options or value.startswith("-"):
+            return None
+        field_name, keywords = OPTIONS[option]
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        args[field_name] = value
+    return args
+
+
 def _check_options(config: RunConfig) -> None:
     if not 1 <= config.dim <= DIM_LIMIT:
         raise ValueError(f"--dim must be between 1 and {DIM_LIMIT}")
@@ -399,7 +425,8 @@ def _check_options(config: RunConfig) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv) or vars(build_parser().parse_args(argv))
     run = COMMANDS[args.pop("command")][0]
     config = RunConfig(**args)
     try:

@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -6,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oscalgebra
 from oscalgebra import cli
@@ -459,3 +464,84 @@ def test_one_parser_serves_a_sequence_of_calls_like_fresh_processes(capsys):
     assert cli.build_parser.cache_info().currsize == 1
     assert cli.build_parser() is cli.build_parser()
     assert in_process == [_run_fresh(*argv) for argv in sequence]
+
+
+def test_plain_argv_builds_no_parser():
+    # a fresh interpreter, so no earlier call has built the parser
+    script = (
+        "import contextlib, io\n"
+        "from oscalgebra import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(['verify', '--dim', '64', '--format', 'json'])\n"
+        "print(status, cli.build_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=_package_env(), timeout=300,
+    )
+    assert (proc.stdout, proc.stderr) == ("0 0\n", "")
+
+
+# -- the table path against argparse ---------------------------------------------------
+
+ARGV_TOKENS = (*cli.COMMANDS, *cli.OPTIONS, "--dim=8", "--fo", "-h", "--help", "--version")
+ARGV_VALUES = ("64", "-3", "1_0", " 7", "0.5", "nan", "json", "text", "bogus", "graded", "")
+
+
+def _argparse_args(argv: list[str]) -> dict | None:
+    """``vars(parse_args(argv))``, or None where argparse exits; its output is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _reprs(args: dict) -> dict[str, str]:
+    # repr tells 10 from 10.0 and makes nan equal to nan
+    return {key: repr(value) for key, value in args.items()}
+
+
+_tokens = st.sampled_from(ARGV_TOKENS + ARGV_VALUES)
+
+
+@st.composite
+def _near_plain_argvs(draw):
+    """A command, up to three option-value pairs (the command's own options
+    drawn often) and at times one stray token."""
+    command = draw(st.sampled_from(tuple(cli.COMMANDS)))
+    options = st.one_of(st.sampled_from(cli.COMMANDS[command][2]), st.sampled_from(ARGV_TOKENS))
+    values = st.one_of(st.sampled_from(ARGV_VALUES), _tokens)
+    argv = [command]
+    for _ in range(draw(st.integers(0, 3))):
+        argv += [draw(options), draw(values)]
+    return argv + draw(st.lists(_tokens, max_size=1))
+
+
+@given(st.one_of(st.lists(_tokens, max_size=7), _near_plain_argvs()))
+@example(["orbit", "--set", "--dim", "--dim", "64"])  # argparse: --set expected one argument
+@example(["closure", "--set", "-h"])  # argparse prints help
+def test_table_path_agrees_with_argparse(argv):
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        parsed = _argparse_args(argv)
+        assert parsed is not None, argv
+        assert _reprs(plain) == _reprs(parsed), argv
+
+
+@functools.cache
+def _argparse_accepts(command: str, option: str, value: str) -> bool:
+    return _argparse_args([command, option, value]) is not None
+
+
+@given(st.data())
+def test_own_options_with_valid_values_take_the_table_path(data):
+    command = data.draw(st.sampled_from(tuple(cli.COMMANDS)))
+    argv = [command]
+    for option in data.draw(st.lists(st.sampled_from(cli.COMMANDS[command][2]), max_size=5)):
+        candidates = (*ARGV_VALUES, *cli.OPTIONS[option][1].get("choices", ()))
+        valid = [v for v in candidates if not v.startswith("-") and _argparse_accepts(command, option, v)]
+        argv += [option, data.draw(st.sampled_from(valid))]
+    plain = cli._parse_plain(argv)
+    assert plain is not None, argv
+    assert _reprs(plain) == _reprs(_argparse_args(argv))
