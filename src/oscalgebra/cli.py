@@ -42,13 +42,12 @@ from . import __version__
 from .fock import ladder_amplitude, norm_condition, orbit, relation_residuals, spectrum
 from .relations import all_relations, casimir_commutation_checks
 from .report import (
-    EXACT_ZERO,
     FAIL,
     INFORMATIONAL,
     PASS,
     VerificationReport,
+    identity_check,
     informational,
-    symbolic_check,
 )
 from .superalgebra import (
     COMMUTATOR_ONLY,
@@ -135,66 +134,48 @@ CommandResult = tuple[dict, Callable[[], str | list[str]], int]
 def build_verify_report(config: RunConfig) -> VerificationReport:
     """Full suite: exact relations, Casimir, Jacobi, truncated-matrix
     residuals, plus informational convention comparisons."""
-    report = VerificationReport()
-
-    for rel in all_relations():
-        residual = rel.residual_poly()
-        report.checks.append(
-            symbolic_check(
-                rel.name,
-                residual.is_zero,
-                "" if residual.is_zero else f"residual {residual}",
-            )
-        )
-
-    kappa = casimir().coefficient(0, 0)
-    for name, residual in casimir_commutation_checks():
-        report.checks.append(symbolic_check(name, residual.is_zero))
-    if kappa.is_rational:
-        report.casimir_eigenvalue = kappa.as_fraction()
-
     osp = _osp_basis()
-    report.extend(graded_jacobi_check(osp))
-
-    report.extend(relation_residuals(config.dim, config.tolerance))
-
+    identities = [(rel.name, rel.residual_poly()) for rel in all_relations()]
+    kappa = casimir().coefficient(0, 0)
     amp = ladder_amplitude(dict(osp)["K+"], 0)[2]
-    report.checks.append(
-        informational(
-            "raising amplitude convention",
-            f"K+|0⟩ = ({amp})·|2⟩ exactly; the unhalved double-raising form "
-            f"√((n+1)(n+2)) would give √2 at n=0 — K+ = ½a†a† carries the ½",
-        )
-    )
     exact_pair = norm_condition(1)
     literal_pair = (Fraction(3, 16) + 1 * 2, Fraction(3, 16) + 1 * 0)
-    report.checks.append(
-        informational(
-            "norm-condition index convention",
-            f"‖K±|n⟩‖² = 3/16 + m(m±1) holds with the K3 eigenvalue "
-            f"m = (2n+1)/4, not the state label n: at n=1 the exact pair is "
-            f"({exact_pair[0]}, {exact_pair[1]}) while substituting n gives "
-            f"({literal_pair[0]}, {literal_pair[1]})",
-        )
+    return VerificationReport(
+        [identity_check(name, residual)
+         for name, residual in identities + casimir_commutation_checks()]
+        + graded_jacobi_check(osp).checks
+        + relation_residuals(config.dim, config.tolerance).checks
+        + [
+            informational(
+                "raising amplitude convention",
+                f"K+|0⟩ = ({amp})·|2⟩ exactly; the unhalved double-raising form "
+                f"√((n+1)(n+2)) would give √2 at n=0 — K+ = ½a†a† carries the ½",
+            ),
+            informational(
+                "norm-condition index convention",
+                f"‖K±|n⟩‖² = 3/16 + m(m±1) holds with the K3 eigenvalue "
+                f"m = (2n+1)/4, not the state label n: at n=1 the exact pair is "
+                f"({exact_pair[0]}, {exact_pair[1]}) while substituting n gives "
+                f"({literal_pair[0]}, {literal_pair[1]})",
+            ),
+        ],
+        kappa.as_fraction() if kappa.is_rational else None,
     )
-    return report
 
 
 def cmd_verify(config: RunConfig) -> CommandResult:
     report = build_verify_report(config)
+    payload = report.as_dict()
 
     def text() -> list[str]:
         mark = {PASS: "PASS", FAIL: "FAIL", INFORMATIONAL: "INFO"}
         lines = [f"ladder-algebra verification  dim={config.dim}  tol={config.tolerance:g}", ""]
-        for check in report.checks:
-            if check.exact:
-                res = EXACT_ZERO
-            elif check.residual is not None:
-                res = f"{check.residual:.3e}"
-            else:
-                res = "-"
-            line = f"[{mark[check.status]}] {check.name:<24} {res:>10}"
-            lines.append(f"{line}  {check.detail}" if check.detail else line)
+        for check in payload["checks"]:
+            res = check["residual"]
+            if not isinstance(res, str):  # the exact-zero marker is already text
+                res = "-" if res is None else f"{res:.3e}"
+            line = f"[{mark[check['status']]}] {check['name']:<24} {res:>10}"
+            lines.append(f"{line}  {check['detail']}" if check["detail"] else line)
         n_pass, n_fail, n_info = report.counts()
         return lines + [
             "",
@@ -202,7 +183,7 @@ def cmd_verify(config: RunConfig) -> CommandResult:
             f"summary: {n_pass} passed, {n_fail} failed, {n_info} informational",
         ]
 
-    return report.as_dict(), text, 0 if report.passed else 1
+    return payload, text, 0 if report.passed else 1
 
 
 # -- closure ------------------------------------------------------------------

@@ -100,7 +100,7 @@ def spectrum(dim: int, hbar_omega: float = 1.0) -> list[float]:
             f"got ħω={hbar_omega:g}, dim={dim}"
         )
     diagonal = to_matrix(hamiltonian(), dim).bands[0]
-    return [float(hbar_omega) * float(e) for e in np.sort(diagonal)]
+    return [float(hbar_omega) * float(e) for e in diagonal]
 
 
 def parity_matrix(dim: int) -> FockOperator:

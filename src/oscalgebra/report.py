@@ -1,7 +1,13 @@
 """Machine-readable outcomes of relation, Jacobi and residual checks.
 
-Symbolic checks carry an exact-zero marker instead of a floating residual;
-informational entries never affect the pass/fail verdict.
+Each verdict row comes from one of four builders:
+- `identity_check`: an exact identity; passes iff its residual polynomial
+  is zero, and a failing row's detail is `residual <poly>`;
+- `symbolic_check`: any other exact test; verdict and detail from the caller;
+- `numeric_check`: a float residual; passes iff it is at most the tolerance;
+- `informational`: a note; never affects the verdict.
+`Check.as_dict` alone decides the residual marker of JSON and text output:
+`0 (exact)` on a passing symbolic row, else the float residual or None.
 """
 
 from __future__ import annotations
@@ -24,19 +30,16 @@ class Check:
     name: str
     mode: str
     status: str
-    residual: float | None = None  # None on a passing symbolic check: exact zero
+    residual: float | None = None  # None on every symbolic and informational row
     detail: str = ""
 
-    @property
-    def exact(self) -> bool:
-        return self.mode == MODE_SYMBOLIC and self.status == PASS
-
     def as_dict(self) -> dict:
+        exact = self.mode == MODE_SYMBOLIC and self.status == PASS
         return {
             "name": self.name,
             "mode": self.mode,
             "status": self.status,
-            "residual": EXACT_ZERO if self.exact else self.residual,
+            "residual": EXACT_ZERO if exact else self.residual,
             "detail": self.detail,
         }
 
@@ -49,6 +52,12 @@ def symbolic_check(name: str, ok: bool, detail: str = "") -> Check:
         residual=None,
         detail=detail,
     )
+
+
+def identity_check(name: str, residual) -> Check:
+    """Passes iff the residual polynomial (anything with `.is_zero`) is zero."""
+    ok = residual.is_zero
+    return symbolic_check(name, ok, "" if ok else f"residual {residual}")
 
 
 def numeric_check(name: str, residual: float, tolerance: float, detail: str = "") -> Check:
@@ -83,9 +92,6 @@ class VerificationReport:
         n_fail = sum(1 for c in self.checks if c.status == FAIL)
         n_info = sum(1 for c in self.checks if c.status == INFORMATIONAL)
         return n_pass, n_fail, n_info
-
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
 
     def as_dict(self) -> dict:
         return {

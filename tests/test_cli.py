@@ -16,6 +16,7 @@ import oscalgebra
 from oscalgebra import cli
 from oscalgebra.cli import RunConfig, build_verify_report, main, resolve_generator_names
 from oscalgebra.report import INFORMATIONAL, VerificationReport
+from oscalgebra.weyl import monomial
 
 
 def run_cli(capsys, *argv):
@@ -90,15 +91,41 @@ def test_verify_rejects_empty_window(capsys):
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     # exit status must be nonzero iff a non-informational check fails
     import oscalgebra.cli as cli
-    from oscalgebra.report import Check, FAIL, MODE_NUMERIC
+    from oscalgebra.report import Check, FAIL, MODE_NUMERIC, MODE_SYMBOLIC, informational
 
     broken = VerificationReport(
-        checks=[Check("forced failure", MODE_NUMERIC, FAIL, residual=1.0)]
+        checks=[
+            Check("forced failure", MODE_NUMERIC, FAIL, residual=1.0),
+            Check("forced symbolic", MODE_SYMBOLIC, FAIL, detail="planted"),
+            informational("forced note", "planted"),
+        ]
     )
     monkeypatch.setattr(cli, "build_verify_report", lambda config: broken)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
-    assert "1 failed" in out
+    assert "2 failed" in out
+    # a failing symbolic row and an informational row have no residual
+    marker = {c.name: next(line.split(c.name)[1].split()[0]
+                           for line in out.splitlines() if c.name in line)
+              for c in broken.checks}
+    assert marker == {"forced failure": "1.000e+00", "forced symbolic": "-", "forced note": "-"}
+    _, out, _ = run_cli(capsys, "verify", "--format", "json")
+    residuals = {c["name"]: c["residual"] for c in json.loads(out)["checks"]}
+    assert residuals == {"forced failure": 1.0, "forced symbolic": None, "forced note": None}
+
+
+def test_verify_failing_casimir_row_names_its_residual(capsys, monkeypatch):
+    # a failing [K²,x] = 0 row carries the same detail as every identity row
+    name = "[K²,K+] = 0"
+    monkeypatch.setattr(cli, "casimir_commutation_checks", lambda: [(name, monomial(2, 0))])
+    code, out, _ = run_cli(capsys, "verify", "--dim", "16")
+    assert code == 1
+    row = next(line for line in out.splitlines() if name in line)
+    assert row.startswith("[FAIL]") and row.endswith("-  residual a†²")
+    code, out, _ = run_cli(capsys, "verify", "--dim", "16", "--format", "json")
+    assert code == 1
+    check = next(c for c in json.loads(out)["checks"] if c["name"] == name)
+    assert (check["status"], check["residual"], check["detail"]) == ("fail", None, "residual a†²")
 
 
 def test_verify_report_has_erratum_entries():
