@@ -135,7 +135,8 @@ def build_verify_report(config: RunConfig) -> VerificationReport:
     """Full suite: exact relations, Casimir, Jacobi, truncated-matrix
     residuals, plus informational convention comparisons."""
     osp = _osp_basis()
-    identities = [(rel.name, rel.residual_poly()) for rel in all_relations()]
+    relations = all_relations()
+    identities = [(rel.name, rel.residual_poly()) for rel in relations]
     kappa = casimir().coefficient(0, 0)
     amp = ladder_amplitude(dict(osp)["K+"], 0)[2]
     exact_pair = norm_condition(1)
@@ -144,7 +145,7 @@ def build_verify_report(config: RunConfig) -> VerificationReport:
         [identity_check(name, residual)
          for name, residual in identities + casimir_commutation_checks()]
         + graded_jacobi_check(osp).checks
-        + relation_residuals(config.dim, config.tolerance).checks
+        + relation_residuals(config.dim, config.tolerance, relations).checks
         + [
             informational(
                 "raising amplitude convention",

@@ -11,6 +11,11 @@ Stored entries are exact truncations of the infinite matrix; truncation error
 enters only through matrix products, and only within 2·degree rows of the
 cutoff.  That gives every product check a trusted window of exact indices.
 
+The residual suite runs one band kernel per call: each monomial's √radicand
+is built once, zero-padded operand bands make a diagonal pair's product one
+slice multiply, and a ±1 weight is an add or a subtract.  Every entry sums
+its terms in a fixed order (see `padded_product`), so no residual digit moves.
+
 The orbit partition never touches floats: reachability edges come from exact
 amplitudes, so "zero" means the empty term list.
 """
@@ -67,25 +72,37 @@ def _shift_factors(p: int, q: int, n: int | np.ndarray) -> list:
     return [n - i for i in range(q)] + [n - q + j for j in range(1, p + 1)]
 
 
+def _band_builder(dim: int, dtype):
+    """bands(x, pad) → x's truncated matrix as {offset: band padded by `pad`
+    zeros at both ends}.  Each monomial's root is taken once per builder from
+    an exact integer radicand (int64 or Python int), rounded only by the cast."""
+
+    @functools.cache
+    def root(p: int, q: int) -> np.ndarray:
+        hi = min(dim, dim - p + q)
+        # the factors grow with n, so the last column holds the largest radicand
+        fits = math.prod(_shift_factors(p, q, hi - 1)) < 2**63
+        n = np.arange(q, hi, dtype=np.int64 if fits else object)
+        return np.sqrt(math.prod(_shift_factors(p, q, n), start=np.ones_like(n)).astype(dtype))
+
+    def bands(x, pad: int = 0) -> dict[int, np.ndarray]:
+        out: dict[int, np.ndarray] = {}
+        for mono, coeff in as_poly(x).items():
+            hi = min(dim, dim - mono.offset)
+            if hi > mono.q:
+                band = out.setdefault(mono.offset, np.zeros(dim + 2 * pad, dtype=dtype))
+                band[pad + mono.q : pad + hi] += _scalar_value(coeff, dtype) * root(mono.p, mono.q)
+        return out
+
+    return bands
+
+
 def to_matrix(x, dim: int, dtype=np.float64) -> FockOperator:
     """Truncated matrix of a polynomial; entry (m, n) sums, over monomials
-    with offset m-n, coeff·√(n!/(n-q)!)·√(m!/(n-q)!).  Each band comes in one
-    step from exact integer radicands, in int64 while they fit and Python
-    ints beyond; a radicand is rounded only when cast to `dtype` for its root."""
+    with offset m-n, coeff·√(n!/(n-q)!)·√(m!/(n-q)!), in monomial order."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    bands: dict[int, np.ndarray] = {}
-    for mono, coeff in as_poly(x).items():
-        hi = min(dim, dim - mono.offset)
-        if hi <= mono.q:
-            continue
-        # the factors grow with n, so the last column holds the largest radicand
-        fits = math.prod(_shift_factors(mono.p, mono.q, hi - 1)) < 2**63
-        n = np.arange(mono.q, hi, dtype=np.int64 if fits else object)
-        radicand = math.prod(_shift_factors(mono.p, mono.q, n), start=np.ones_like(n))
-        band = bands.setdefault(mono.offset, np.zeros(dim, dtype=dtype))
-        band[mono.q : hi] += _scalar_value(coeff, dtype) * np.sqrt(radicand.astype(dtype))
-    return FockOperator(dim, bands)
+    return FockOperator(dim, _band_builder(dim, dtype)(x))
 
 
 def spectrum(dim: int, hbar_omega: float = 1.0) -> list[float]:
@@ -206,29 +223,23 @@ def orbit(seed: int, generators: Mapping, dim: int) -> OrbitReport:
     )
 
 
-def diagonal_product(x: FockOperator, y: FockOperator) -> FockOperator:
-    """Matrix product x·y by convolving diagonals,
-    out[dx+dy][n] += x[dx][n+dy]·y[dy][n], at O(bands²·N) cost.
-
-    Both loops run over offsets in descending order.  That fixes the order
-    in which each entry sums its terms, and with it the last bits of every
-    residual built from these products.
-    """
-    dim = x.dim
+def padded_product(x: dict, y: dict, dim: int, pad: int) -> dict[int, np.ndarray]:
+    """Matrix product x·y of bands padded by `pad` ≥ every |offset| of y:
+    out[dx+dy][n] = Σ x[dx][n+dy]·y[dy][n], each term one slice multiply over
+    all `dim` columns.  Both loops run over offsets in descending order, which
+    fixes each entry's summation order and so the last bits of every residual."""
     out: dict[int, np.ndarray] = {}
-    for dx in sorted(x.bands, reverse=True):
-        for dy in sorted(y.bands, reverse=True):
+    for dx in sorted(x, reverse=True):
+        for dy in sorted(y, reverse=True):
             d = dx + dy
-            if abs(d) >= dim:
-                continue
-            lo, hi = max(0, -dy), min(dim, dim - dy)
-            band = out.setdefault(d, np.zeros_like(y.bands[dy]))
-            band[lo:hi] += x.bands[dx][lo + dy : hi + dy] * y.bands[dy][lo:hi]
-    return FockOperator(dim, out)
+            if abs(d) < dim:
+                term = x[dx][pad + dy : pad + dy + dim] * y[dy][pad : pad + dim]
+                out[d] = out[d] + term if d in out else term
+    return out
 
 
-def relation_residuals(dim: int, tolerance: float = 1e-12) -> VerificationReport:
-    """Check every defining identity on truncated matrices.
+def relation_residuals(dim: int, tolerance: float = 1e-12, relations=None) -> VerificationReport:
+    """Check each identity of `relations` (default all) on truncated matrices.
 
     Left sides are built from matrix products, right sides from the matrix
     of the symbolic result; the reported residual is the max absolute entry
@@ -239,7 +250,7 @@ def relation_residuals(dim: int, tolerance: float = 1e-12) -> VerificationReport
     reported alongside: it exposes the genuine truncation artifact above the
     window.
     """
-    relations = all_relations()
+    relations = all_relations() if relations is None else relations
     max_margin = max(rel.window_margin for rel in relations)
     if dim - max_margin < 1:
         raise ValueError(
@@ -247,24 +258,35 @@ def relation_residuals(dim: int, tolerance: float = 1e-12) -> VerificationReport
             f"need dim ≥ {max_margin + 1}"
         )
     dtype = np.longdouble
-    matrix = functools.cache(functools.partial(to_matrix, dim=dim, dtype=dtype))
+    bands = _band_builder(dim, dtype)
+    operands = {z for rel in relations for _, x, y in rel.products for z in (x, y)}
+    pad = max(z.degree for z in operands)  # ≥ every operand offset
+    operand = {z: bands(z, pad) for z in operands}
+
     report = VerificationReport()
     for rel in relations:
         # Σ c·(x·y) - rhs, band by band, in the order the products are listed;
-        # a missing band is 0
+        # the right side comes last, weight -1, built from the cached roots
         diff: dict[int, np.ndarray] = {}
-        for c, x, y in rel.products:
-            for d, band in diagonal_product(matrix(x), matrix(y)).bands.items():
-                diff[d] = diff.get(d, 0) + dtype(c) * band
-        # a right side is read once: built outside the `matrix` cache, freed here
-        for d, band in to_matrix(rel.rhs, dim, dtype).bands.items():
-            diff[d] = diff.get(d, 0) - band
-        diff = {d: np.abs(band) for d, band in diff.items()}
+        for c, x, y in (*rel.products, (-1, rel.rhs, None)):
+            part = bands(x) if y is None else padded_product(operand[x], operand[y], dim, pad)
+            for d, band in part.items():
+                if c != 1 and c != -1:  # a weight of ±1 is an add or a subtract
+                    band *= dtype(c)
+                if d in diff:
+                    (np.subtract if c == -1 else np.add)(diff[d], band, out=diff[d])
+                else:  # an offset's first band starts its sum
+                    diff[d] = np.negative(band, out=band) if c == -1 else band
         t = dim - rel.window_margin
-        # on diagonal d, the t×t window holds columns [max(0, -d), min(t, t - d))
-        window = (b[max(0, -d) : max(min(t, t - d), 0)] for d, b in diff.items())
-        window_residual = float(max((w.max(initial=0) for w in window), default=0))
-        full_residual = float(max((b.max() for b in diff.values()), default=0))
-        detail = f"window {t}×{t} of {dim}; full-matrix residual {full_residual:.3e}"
-        report.checks.append(numeric_check(rel.name, window_residual, tolerance, detail=detail))
+        window_residual = full_residual = 0
+        for d, band in diff.items():
+            # on diagonal d the t×t window holds columns [lo, hi); columns below lo
+            # are rows above the matrix, all 0, so the full max adds those past hi
+            lo, hi = max(0, -d), max(min(t, t - d), 0)
+            band = np.abs(band, out=band)
+            window = band[lo:hi].max(initial=0)
+            window_residual = max(window_residual, window)
+            full_residual = max(full_residual, window, band[hi:].max(initial=0))
+        detail = f"window {t}×{t} of {dim}; full-matrix residual {float(full_residual):.3e}"
+        report.checks.append(numeric_check(rel.name, float(window_residual), tolerance, detail=detail))
     return report

@@ -172,7 +172,7 @@ class ClosureResult:
 def _bracket_in_mode(x: GradedElement, y: GradedElement, mode: str) -> GradedElement:
     if mode == GRADED:
         return graded_bracket(x, y)
-    return GradedElement(commutator(x.poly, y.poly), (x.parity + y.parity) % 2)
+    return GradedElement(commutator(x.poly, y.poly), (x.parity + y.parity) % 2, check=False)
 
 
 def close_under_bracket(
@@ -297,6 +297,7 @@ def graded_jacobi_check(basis: AlgebraBasis) -> VerificationReport:
     """Evaluate (-1)^(|x||z|)·[x,[y,z}} + cyclic for every unordered triple
     (with repetition) of basis elements; each must be the zero polynomial."""
     report = VerificationReport()
+    names = basis.names
     inner = {(v, w): graded_bracket(basis[v][1], basis[w][1])
              for v, w in itertools.product(range(basis.dim), repeat=2)}
     for i, j, k in itertools.combinations_with_replacement(range(basis.dim), 3):
@@ -308,7 +309,7 @@ def graded_jacobi_check(basis: AlgebraBasis) -> VerificationReport:
             sign = graded_sign(xu.parity, basis[w][1].parity)
             products += [(sign, xu.poly, b.poly),
                          (-sign * graded_sign(xu.parity, b.parity), b.poly, xu.poly)]
-        name = f"jacobi({basis.names[i]},{basis.names[j]},{basis.names[k]})"
+        name = f"jacobi({names[i]},{names[j]},{names[k]})"
         report.checks.append(identity_check(name, product_sum(products)))
     return report
 

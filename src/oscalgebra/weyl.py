@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
@@ -312,11 +312,12 @@ class GradedElement:
 
     poly: WeylPolynomial
     parity: int
+    check: InitVar[bool] = True  # False only where the parity is fixed by construction
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
         if self.parity not in (EVEN, ODD):
             raise ValueError(f"parity must be {EVEN} or {ODD}, got {self.parity}")
-        bad = [m for m, _ in self.poly.items() if m.parity != self.parity]
+        bad = check and [m for m, _ in self.poly.items() if m.parity != self.parity]
         if bad:
             raise ValueError(
                 f"mixed-parity polynomial: declared {self.parity}, "
@@ -340,9 +341,9 @@ class GradedElement:
 
 def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     """[x, y} = xy - (-1)^(|x||y|) yx: anticommutator for two odd entries,
-    commutator otherwise.  Result parity is |x| + |y| mod 2."""
+    commutator otherwise.  Its parity, |x| + |y| mod 2, holds by construction."""
     bracket = anticommutator if graded_sign(x.parity, y.parity) < 0 else commutator
-    return GradedElement(bracket(x.poly, y.poly), (x.parity + y.parity) % 2)
+    return GradedElement(bracket(x.poly, y.poly), (x.parity + y.parity) % 2, check=False)
 
 
 def as_poly(x) -> WeylPolynomial:

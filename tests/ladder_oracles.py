@@ -9,11 +9,16 @@ every term through the public, normalising ExactAmplitude constructor only,
 and the entry-by-entry matrix builder fills one band entry at a time.
 The orbit reference takes its edges from `ladder_amplitude`, as `orbit`
 does, and checks only the partition: a breadth-first search over
-neighbour sets instead of union-find.
+neighbour sets instead of union-find.  The residual reference likewise
+shares the matrix builder: it reads its bands from `to_matrix` (tested
+against the entry-by-entry builder) and multiplies them one `FockOperator`
+pair at a time into zero-filled bands, the plain form of the band kernel's
+arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -21,7 +26,9 @@ from fractions import Fraction
 import numpy as np
 
 from oscalgebra.amplitudes import ExactAmplitude
-from oscalgebra.fock import OrbitReport, ladder_amplitude
+from oscalgebra.fock import FockOperator, OrbitReport, ladder_amplitude, to_matrix
+from oscalgebra.relations import all_relations
+from oscalgebra.report import VerificationReport, numeric_check
 from oscalgebra.scalar import Scalar
 from oscalgebra.weyl import WeylPolynomial, as_poly
 
@@ -174,3 +181,44 @@ def orbit_by_bfs(seed: int, generators, dim: int) -> OrbitReport:
         reachable=next(block for block in partition if seed in block),
         partition=tuple(partition),
     )
+
+
+def diagonal_product(x: FockOperator, y: FockOperator) -> FockOperator:
+    """Matrix product x·y by convolving diagonals into zero-filled bands,
+    out[dx+dy][n] += x[dx][n+dy]·y[dy][n], both offsets descending."""
+    dim = x.dim
+    out: dict[int, np.ndarray] = {}
+    for dx in sorted(x.bands, reverse=True):
+        for dy in sorted(y.bands, reverse=True):
+            d = dx + dy
+            if abs(d) >= dim:
+                continue
+            lo, hi = max(0, -dy), min(dim, dim - dy)
+            band = out.setdefault(d, np.zeros_like(y.bands[dy]))
+            band[lo:hi] += x.bands[dx][lo + dy : hi + dy] * y.bands[dy][lo:hi]
+    return FockOperator(dim, out)
+
+
+def relation_residuals_by_products(dim: int, tolerance: float = 1e-12, relations=None):
+    """`fock.relation_residuals` the long way: one `to_matrix` per operand
+    and right side, one `diagonal_product` per product, each product weighted
+    as 0 + c·band; the same dtype and summation order, so the same digits."""
+    relations = all_relations() if relations is None else relations
+    dtype = np.longdouble
+    matrix = functools.cache(functools.partial(to_matrix, dim=dim, dtype=dtype))
+    report = VerificationReport()
+    for rel in relations:
+        diff: dict[int, np.ndarray] = {}
+        for c, x, y in rel.products:
+            for d, band in diagonal_product(matrix(x), matrix(y)).bands.items():
+                diff[d] = diff.get(d, 0) + dtype(c) * band
+        for d, band in to_matrix(rel.rhs, dim, dtype).bands.items():
+            diff[d] = diff.get(d, 0) - band
+        diff = {d: np.abs(band) for d, band in diff.items()}
+        t = dim - rel.window_margin
+        window = (b[max(0, -d) : max(min(t, t - d), 0)] for d, b in diff.items())
+        window_residual = float(max((w.max(initial=0) for w in window), default=0))
+        full_residual = float(max((b.max() for b in diff.values()), default=0))
+        detail = f"window {t}×{t} of {dim}; full-matrix residual {full_residual:.3e}"
+        report.checks.append(numeric_check(rel.name, window_residual, tolerance, detail=detail))
+    return report

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -11,27 +12,32 @@ from hypothesis import strategies as st
 
 from ladder_oracles import (
     apply_poly_numeric,
+    diagonal_product,
     is_reduced,
     ladder_amplitude_by_normalising,
     monomial_target_and_square,
     orbit_by_bfs,
+    relation_residuals_by_products,
     to_matrix_by_entries,
 )
 from oscalgebra.amplitudes import ExactAmplitude
 from oscalgebra.fock import (
-    diagonal_product,
+    FockOperator,
     ladder_amplitude,
     norm_condition,
     orbit,
+    padded_product,
     parity_matrix,
     relation_residuals,
     spectrum,
     to_matrix,
 )
+from oscalgebra.relations import CASIMIR_NAME, Relation, all_relations
 from oscalgebra.scalar import Scalar
 from oscalgebra.weyl import (
     A,
     ADAG,
+    IDENTITY,
     WeylPolynomial,
     casimir,
     hamiltonian,
@@ -418,8 +424,60 @@ def test_orbit_seed_validation(gens):
 def test_band_product_equals_dense_product(x, y, dim):
     a = to_matrix(x, dim)
     b = to_matrix(y, dim)
-    product = diagonal_product(a, b).entries
+    pad = max(map(abs, b.bands), default=0)
+    padded = [{d: np.pad(band, pad) for d, band in m.bands.items()} for m in (a, b)]
+    bands = padded_product(*padded, dim, pad)
+    product = FockOperator(dim, bands).entries
     assert np.allclose(product, a.entries @ b.entries, rtol=1e-13, atol=1e-13)
+    # to the last bit, the entries of one zero-filled band product per pair
+    expected = diagonal_product(a, b).bands
+    assert bands.keys() == expected.keys()
+    assert all(np.array_equal(bands[d], expected[d]) for d in expected)
+
+
+@pytest.mark.parametrize("dim", [9, 16, 64, 256, 1024, 8192])
+def test_band_kernel_matches_reference_row_for_row(dim):
+    # the same digits as one zero-filled product per FockOperator pair; at
+    # 8192 the [K+,K-] = -2·K3 window residual is 1.8e-12, a failing row
+    kernel = [c.as_dict() for c in relation_residuals(dim).checks]
+    reference = [c.as_dict() for c in relation_residuals_by_products(dim).checks]
+    assert kernel == reference
+    assert (dim == 8192) == any(row["status"] == "fail" for row in kernel)
+
+
+def test_band_kernel_matches_reference_on_planted_wrong_relations():
+    # the true relations' products and margins, with a wrong right side
+    true = {rel.name: rel for rel in all_relations()}
+    planted = [
+        dataclasses.replace(true[CASIMIR_NAME], rhs=IDENTITY.scaled(Fraction(1, 4))),
+        dataclasses.replace(
+            true["[K+,Q] = -Q†"], name="[K+,Q] = -2·Q†", rhs=true["[K+,Q] = -Q†"].rhs.scaled(2)
+        ),
+    ]
+    kernel = relation_residuals(64, 1e-12, planted).checks
+    reference = relation_residuals_by_products(64, 1e-12, planted).checks
+    assert [c.as_dict() for c in kernel] == [c.as_dict() for c in reference]
+    assert [c.status for c in kernel] == ["fail", "fail"]
+
+
+def test_band_kernel_matches_reference_on_multi_band_operands():
+    # x has five bands and two monomials on its diagonal, so up to five
+    # diagonal pairs of x·x share an offset and their summation order shows
+    # in the last bits; the true x·x = x² leaves only that round-off
+    gens = standard_generators()
+    x = sum((gens[n].poly for n in ("K+", "K-", "K3", "Q", "Q†")), WeylPolynomial())
+    square = [Relation("x·x = x²", ((1, x, x),), x * x, 2 * x.degree)]
+    for dim in (16, 64, 256):
+        kernel = relation_residuals(dim, 1e-12, square).checks
+        reference = relation_residuals_by_products(dim, 1e-12, square).checks
+        assert [c.as_dict() for c in kernel] == [c.as_dict() for c in reference]
+        assert kernel[0].status == "pass"
+        m = to_matrix(x, dim, np.longdouble)
+        padded = {d: np.pad(band, x.degree) for d, band in m.bands.items()}
+        product = padded_product(padded, padded, dim, x.degree)
+        expected = diagonal_product(m, m).bands
+        assert product.keys() == expected.keys()
+        assert all(np.array_equal(product[d], expected[d]) for d in expected)
 
 
 @pytest.mark.parametrize("dim", [16, 64])

@@ -228,6 +228,14 @@ def test_closure_brackets_each_pair_once(gens, monkeypatch, seed, mode):
     assert calls and max(calls.values()) == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(graded_elements(), graded_elements())
+def test_commutator_only_bracket_keeps_declared_parity(x, y):
+    # the closure's commutator-only brackets skip the constructor's monomial check
+    result = superalgebra._bracket_in_mode(x, y, "commutator-only")
+    assert all(mono.parity == result.parity for mono, _ in result.poly.items())
+
+
 # -- basis validation ------------------------------------------------------------
 
 

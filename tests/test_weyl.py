@@ -128,6 +128,8 @@ def test_mixed_parity_rejected():
     with pytest.raises(ValueError):
         GradedElement(A + monomial(2, 0), ODD)
     with pytest.raises(ValueError):
+        GradedElement(monomial(1, 0) + monomial(2, 0), EVEN)
+    with pytest.raises(ValueError):
         GradedElement.of(A + IDENTITY)
 
 
@@ -277,6 +279,16 @@ def test_graded_antisymmetry(x, y):
     lhs = graded_bracket(x, y).poly
     rhs = graded_bracket(y, x).poly.scaled(-sign)
     assert lhs == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_elements(), graded_elements())
+def test_bracket_result_has_its_declared_parity(x, y):
+    # graded_bracket skips the constructor's monomial check: the parity of
+    # every monomial of the result must still be the declared one
+    result = graded_bracket(x, y)
+    assert result.parity == (x.parity + y.parity) % 2
+    assert all(mono.parity == result.parity for mono, _ in result.poly.items())
 
 
 @settings(max_examples=200, deadline=None)
