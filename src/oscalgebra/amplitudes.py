@@ -5,11 +5,11 @@ as rational coefficients attached to square-free integer radicands gives an
 exact zero test (the term list is empty), which is what the orbit partition
 relies on instead of a floating threshold.
 
-The public constructor `ExactAmplitude(terms)` normalises arbitrary positive
-radicands with `square_free`.  `root_sum` produces only square-free radicands
-and wraps {radicand: coefficient} through `_reduced` without factoring again:
-for square-free k1, k2 and g = gcd(k1, k2), the factors of
-√k1·√k2 = g·√((k1/g)(k2/g)) are coprime and square-free.
+`root_sum` is the one normaliser: it splits each positive factor with
+`square_free` and merges a running square-free radicand without factoring
+again, since for square-free k1, k2 and g = gcd(k1, k2) the factors of
+√k1·√k2 = g·√((k1/g)(k2/g)) are coprime and square-free.  The public
+constructor `ExactAmplitude(terms)` hands it each c·√k as a one-factor part.
 """
 
 from __future__ import annotations
@@ -46,11 +46,8 @@ class ExactAmplitude:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Fraction | int, int]] = ()):
-        data: dict[int, Fraction] = {}
-        for coeff, radicand in terms:
-            outer, free = square_free(radicand)
-            data[free] = data.get(free, 0) + Fraction(coeff) * outer
-        object.__setattr__(self, "_terms", ExactAmplitude._reduced(data)._terms)
+        parts = ((Scalar(Fraction(coeff)), (radicand,)) for coeff, radicand in terms)
+        object.__setattr__(self, "_terms", ExactAmplitude.root_sum(parts)._terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactAmplitude is immutable")
@@ -70,7 +67,7 @@ class ExactAmplitude:
 
     @classmethod
     def root_sum(cls, parts: Iterable[tuple[Scalar, Iterable[int]]]) -> "ExactAmplitude":
-        """Σ sᵢ·√(Π factorsᵢ) for scalars sᵢ = a + b·√½ and small positive
+        """Σ sᵢ·√(Π factorsᵢ) for scalars sᵢ = a + b·√½ and positive
         integer factors, accumulated in reduced form and wrapped once."""
         data: dict[int, Fraction] = {}
         for s, factors in parts:
@@ -80,14 +77,15 @@ class ExactAmplitude:
                 g = math.gcd(free, k)
                 outer *= o * g
                 free = (free // g) * (k // g)
-            if s.a:
-                data[free] = data.get(free, 0) + s.a * outer
-            if s.b:
+            p, q, d = s._p, s._q, s._d  # s = (p + q·√½)/d
+            if p:
+                data[free] = data.get(free, 0) + Fraction(p * outer, d)
+            if q:
                 # √½·√free = √(2·free)/2, and 2·free/g² is square-free for g = gcd(2, free);
                 # fused, not read from Scalar.radicals(): that made orbit at dim 3000 ~30 % slower
                 g = 2 - free % 2
                 root = 2 * free // (g * g)
-                data[root] = data.get(root, 0) + s.b * Fraction(outer * g, 2)
+                data[root] = data.get(root, 0) + Fraction(q * outer * g, 2 * d)
         return cls._reduced(data)
 
     # -- structure -----------------------------------------------------------

@@ -267,6 +267,7 @@ def _combination(coefficients: dict[str, str]) -> str:
 
 def cmd_structure(config: RunConfig) -> CommandResult:
     sc = structure_constants(_osp_basis())
+    kinds = sc.kinds
     tensor = {}
     for i, ni in enumerate(sc.names):
         row = {}
@@ -276,7 +277,7 @@ def cmd_structure(config: RunConfig) -> CommandResult:
                 for k, nk in enumerate(sc.names)
                 if not sc.tensor[i][j][k].is_zero
             }
-            row[nj] = {"kind": sc.kinds[i][j], "coefficients": entries}
+            row[nj] = {"kind": kinds[i][j], "coefficients": entries}
         tensor[ni] = row
     payload = {
         "basis": list(sc.names),

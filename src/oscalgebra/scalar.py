@@ -10,7 +10,7 @@ A value is held as three ints (p, q, d) for (p + q*s)/d, with d > 0 and
 gcd(p, q, d) = 1, so arithmetic and == are integer operations and brackets
 and span solves build no `Fraction`.  The parts a = p/d and b = q/d stay
 public as read-only `Fraction` views for hashing, printing and callers that
-read them; a result of arithmetic builds them on first read.
+read them; each read builds them from the three ints.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def render_radicals(terms) -> str:
 class Scalar:
     """Element a + b*s of Q(s), s = sqrt(1/2), held as (p + q*s)/d; immutable."""
 
-    __slots__ = ("_p", "_q", "_d", "_a", "_b")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a=0, b=0):
         a, b = _fraction(a), _fraction(b)
@@ -54,23 +54,14 @@ class Scalar:
         self._p = a.numerator * (d // a.denominator)
         self._q = b.numerator * (d // b.denominator)
         self._d = d
-        self._a, self._b = a, b
 
     @property
     def a(self) -> Fraction:
-        try:
-            return self._a
-        except AttributeError:
-            self._a = Fraction(self._p, self._d)
-            return self._a
+        return Fraction(self._p, self._d)
 
     @property
     def b(self) -> Fraction:
-        try:
-            return self._b
-        except AttributeError:
-            self._b = Fraction(self._q, self._d)
-            return self._b
+        return Fraction(self._q, self._d)
 
     # -- classification ----------------------------------------------------
 
@@ -178,7 +169,8 @@ class Scalar:
 
     def radicals(self) -> tuple[tuple[int, Fraction], ...]:
         """Nonzero (radicand, coefficient) terms of a + b·√½ = a·√1 + (b/2)·√2."""
-        return tuple((k, c) for k, c in ((1, self.a), (2, self.b / 2)) if c)
+        p, q, d = self._p, self._q, self._d
+        return tuple((k, c) for k, c in ((1, Fraction(p, d)), (2, Fraction(q, 2 * d))) if c)
 
     def __float__(self) -> float:
         return sum((float(c) * math.sqrt(k) for k, c in self.radicals()), 0.0)

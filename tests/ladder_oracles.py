@@ -5,8 +5,9 @@ Everything here deliberately avoids the closed-form contraction product,
 single rule a·a† → a†·a + 1 one randomly chosen spot at a time, and the
 ladder walkers apply one operator per step straight from
 a|n⟩ = √n|n-1⟩, a†|n⟩ = √(n+1)|n+1⟩.  The exact amplitude oracle sends
-every term through the public, normalising ExactAmplitude constructor only,
-and the entry-by-entry matrix builder fills one band entry at a time.
+every term through `normalise_radicals`, its own square-free merge (the
+ExactAmplitude constructor goes through `root_sum`), and the entry-by-entry
+matrix builder fills one band entry at a time.
 The orbit reference takes its edges from `ladder_amplitude`, as `orbit`
 does, and checks only the partition: a breadth-first search over
 neighbour sets instead of union-find.  The residual reference likewise
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from oscalgebra.amplitudes import ExactAmplitude
+from oscalgebra.amplitudes import ExactAmplitude, square_free
 from oscalgebra.fock import FockOperator, OrbitReport, ladder_amplitude, to_matrix
 from oscalgebra.relations import all_relations
 from oscalgebra.report import VerificationReport, numeric_check
@@ -117,12 +118,23 @@ def to_matrix_by_entries(poly: WeylPolynomial, dim: int, dtype) -> dict[int, np.
     return bands
 
 
+def normalise_radicals(terms) -> ExactAmplitude:
+    """Σ c·√k from (coefficient, positive radicand) pairs, one term at a
+    time: each radicand split by `square_free`, its outer factor moved into
+    the coefficient, like terms summed, zeros dropped."""
+    data: dict[int, Fraction] = {}
+    for coeff, radicand in terms:
+        outer, free = square_free(radicand)
+        data[free] = data.get(free, 0) + Fraction(coeff) * outer
+    return ExactAmplitude._reduced(data)
+
+
 def ladder_amplitude_by_normalising(poly: WeylPolynomial, n: int) -> dict:
     """Exact x|n⟩ keyed by target index, composed as Σ c·√(Π factors).
 
     A coefficient c = a + b·√½ on a monomial whose squared ladder amplitude
     is s contributes a·√s + (b/2)·√(2s); each target's terms are then
-    merged and reduced by the public constructor, which factors every
+    merged and reduced by `normalise_radicals`, which factors every
     radicand again.  Zero targets are dropped.
     """
     terms: dict[int, list] = defaultdict(list)
@@ -130,7 +142,7 @@ def ladder_amplitude_by_normalising(poly: WeylPolynomial, n: int) -> dict:
         target, square = monomial_target_and_square(mono.p, mono.q, n)
         if square:
             terms[target] += [(coeff.a, int(square)), (coeff.b / 2, 2 * int(square))]
-    amps = {target: ExactAmplitude(t) for target, t in sorted(terms.items())}
+    amps = {target: normalise_radicals(t) for target, t in sorted(terms.items())}
     return {target: amp for target, amp in amps.items() if amp}
 
 

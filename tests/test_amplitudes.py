@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ladder_oracles import is_reduced, normalise_radicals
 from oscalgebra.amplitudes import ExactAmplitude, square_free
 from oscalgebra.scalar import ROOT_HALF, Scalar
 
@@ -80,3 +81,26 @@ def test_radicands_square_free_and_distinct(x):
     assert len(set(radicands)) == len(radicands)
     for k in radicands:
         assert square_free(k) == (1, k)
+
+
+@st.composite
+def radical_terms(draw):
+    """0–6 (coefficient, radicand) pairs drawn from a small pool of each, so
+    radicands repeat and coefficients often cancel.  Radicands lie in 1..10⁴:
+    any, or m²·f for one f in {1, 2, 3, 6}, so perfect squares and distinct
+    radicands with the same square-free part both come up."""
+    f = draw(st.sampled_from([1, 2, 3, 6]))
+    radicands = st.one_of(st.integers(1, 10**4), st.integers(1, 40).map(lambda m: m * m * f))
+    pool = draw(st.lists(radicands, min_size=1, max_size=3))
+    coefficients = st.one_of(st.integers(-2, 2), st.sampled_from([Fraction(1, 2), Fraction(-1, 2)]))
+    return draw(st.lists(st.tuples(coefficients, st.sampled_from(pool)), max_size=6))
+
+
+@given(radical_terms())
+@example([])
+@example([(1, 8), (-2, 2)])  # √8 − 2√2 = 0
+@example([(1, 10**4), (Fraction(1, 2), 10**4)])  # a repeated perfect square
+def test_constructor_matches_term_by_term_normalising(terms):
+    amp = ExactAmplitude(terms)
+    assert amp == normalise_radicals(terms)
+    assert is_reduced(amp)

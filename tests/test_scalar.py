@@ -47,9 +47,6 @@ def test_int_scaling_matches_scalar_product():
         product = x * k
         assert product == x * Scalar(k) == k * x
         assert type(product.a) is Fraction and type(product.b) is Fraction
-    # an incoming Fraction is kept, not re-wrapped
-    half = Fraction(1, 2)
-    assert Scalar(half, half).a is half
 
 
 def test_division_by_zero():

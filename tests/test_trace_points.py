@@ -10,7 +10,8 @@ import importlib.util
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-# band_product became fock.diagonal_product; the span list has not followed yet
+# band_product is gone (the kernel's product is fock.padded_product);
+# the span list has not followed yet
 KNOWN_ABSENT = {"oscalgebra.fock.band_product"}
 
 
