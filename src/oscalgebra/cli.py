@@ -95,7 +95,8 @@ class RunConfig:
 
 
 def resolve_generator_names(selector: str) -> list[str]:
-    """Expand a predefined set name or a comma-separated inline list."""
+    """Expand a predefined set name or a comma-separated inline list, in
+    which each generator may appear once (under any of its aliases)."""
     selector = selector.strip()
     if selector in GENERATOR_SETS:
         return list(GENERATOR_SETS[selector])
@@ -108,6 +109,8 @@ def resolve_generator_names(selector: str) -> list[str]:
                 f"unknown generator {token!r}; predefined sets: "
                 f"{', '.join(GENERATOR_SETS)}; names: K+, K-, K3, Q, Q†, 1"
             )
+        if resolved in names:
+            raise ValueError(f"generator {resolved} repeated in --set {selector!r}")
         names.append(resolved)
     return names
 

@@ -144,16 +144,26 @@ def ladder_amplitude(x, n: int) -> dict[int, ExactAmplitude]:
     return {m: amp for m, amp in amps if amp}
 
 
-def norm_condition(n: int) -> tuple[Fraction, Fraction]:
-    """Exact (‖K+|n⟩‖², ‖K-|n⟩‖²) as ⟨n|x†x|n⟩ = Σ c_pp·n!/(n-p)!, summed
-    over the diagonal words c_pp·(a†)^p a^p of the normal-ordered x†x; the
-    words off the diagonal move |n⟩ and drop out."""
-    values = []
+@functools.cache
+def _norm_words() -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+    """The diagonal words (p, c_pp) of the normal-ordered x†x for x = K+
+    and x = K-; the words off the diagonal move |n⟩ and drop out."""
+    words = []
     for name in ("K+", "K-"):
         x = NAMED_CONSTANTS[name].poly
-        diagonal = ((mono.p, c) for mono, c in (x.adjoint() * x).items() if mono.p == mono.q)
-        values.append(sum((c * math.perm(n, p) for p, c in diagonal), Scalar(0)).as_fraction())
-    return values[0], values[1]
+        words.append(tuple((mono.p, c) for mono, c in (x.adjoint() * x).items() if mono.p == mono.q))
+    return tuple(words)
+
+
+def norm_condition(n: int) -> tuple[Fraction, Fraction]:
+    """Exact (‖K+|n⟩‖², ‖K-|n⟩‖²) as ⟨n|x†x|n⟩ = Σ c_pp·n!/(n-p)!, summed
+    over the diagonal words c_pp·(a†)^p a^p of x†x.  x†x is built once per
+    process, on the first call; later calls only sum its cached words."""
+    plus, minus = (
+        sum((c * math.perm(n, p) for p, c in words), Scalar(0)).as_fraction()
+        for words in _norm_words()
+    )
+    return plus, minus
 
 
 @dataclass(frozen=True)

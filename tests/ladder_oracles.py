@@ -14,7 +14,9 @@ neighbour sets instead of union-find.  The residual reference likewise
 shares the matrix builder: it reads its bands from `to_matrix` (tested
 against the entry-by-entry builder) and multiplies them one `FockOperator`
 pair at a time into zero-filled bands, the plain form of the band kernel's
-arithmetic.
+arithmetic.  The norm reference shares the contraction product too: it
+rebuilds x†x on every call, so it checks the once-per-process words of
+`norm_condition`, not the product (the stepwise squares check that).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from oscalgebra.fock import FockOperator, OrbitReport, ladder_amplitude, to_matr
 from oscalgebra.relations import all_relations
 from oscalgebra.report import VerificationReport, numeric_check
 from oscalgebra.scalar import Scalar
-from oscalgebra.weyl import WeylPolynomial, as_poly
+from oscalgebra.weyl import NAMED_CONSTANTS, WeylPolynomial, as_poly
 
 
 def normal_order_word(word: tuple[str, ...], rng) -> dict[tuple[int, int], int]:
@@ -116,6 +118,17 @@ def to_matrix_by_entries(poly: WeylPolynomial, dim: int, dtype) -> dict[int, np.
             _, square = monomial_target_and_square(mono.p, mono.q, n)
             band[n] += value * np.sqrt(dtype(int(square)))
     return bands
+
+
+def norm_condition_by_rebuild(n: int) -> tuple[Fraction, Fraction]:
+    """`fock.norm_condition` with x†x rebuilt on every call: the normal-ordered
+    product K±†K± is formed afresh and its diagonal words summed at n."""
+    values = []
+    for name in ("K+", "K-"):
+        x = NAMED_CONSTANTS[name].poly
+        diagonal = ((mono.p, c) for mono, c in (x.adjoint() * x).items() if mono.p == mono.q)
+        values.append(sum((c * math.perm(n, p) for p, c in diagonal), Scalar(0)).as_fraction())
+    return values[0], values[1]
 
 
 def normalise_radicals(terms) -> ExactAmplitude:

@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oscalgebra
-from oscalgebra import cli
+from oscalgebra import cli, fock, weyl
 from oscalgebra.cli import RunConfig, build_verify_report, main, resolve_generator_names
 from oscalgebra.report import INFORMATIONAL, VerificationReport
 from oscalgebra.weyl import monomial
@@ -274,6 +274,21 @@ def test_spectrum_csv(capsys):
     assert lines[3] == "2,2.5,5/4,+,3,1/2"
 
 
+def test_spectrum_builds_x_dagger_x_once_per_process(capsys, monkeypatch):
+    # one x†x product for K+ and one for K-, however many rows are printed
+    calls, product_sum = [], weyl.product_sum
+
+    def counting(products):
+        calls.append(products)
+        return product_sum(products)
+
+    monkeypatch.setattr(weyl, "product_sum", counting)
+    fock._norm_words.cache_clear()
+    code, out, _ = run_cli(capsys, "spectrum", "--dim", "100", "--format", "json")
+    assert code == 0 and len(json.loads(out)["spectrum"]) == 100
+    assert len(calls) <= 2
+
+
 def test_spectrum_scaled_json(capsys):
     code, out, _ = run_cli(
         capsys, "spectrum", "--dim", "2", "--hbar-omega", "2", "--format", "json"
@@ -323,6 +338,21 @@ def test_resolve_strips_the_selector(capsys):
 def test_resolve_unknown():
     with pytest.raises(ValueError):
         resolve_generator_names("K4")
+
+
+@pytest.mark.parametrize(
+    "argv,repeated",
+    [
+        (("orbit", "--set", "K+,K+", "--dim", "20"), "K+"),
+        (("closure", "--set", "Q,Q"), "Q"),
+        (("closure", "--set", "K3,k3"), "K3"),  # one generator under two aliases
+        (("orbit", "--set", "Kp,K-,k_plus"), "K+"),
+    ],
+)
+def test_repeated_generator_rejected(capsys, argv, repeated):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"generator {repeated} repeated" in err
 
 
 # -- options and output pipe ----------------------------------------------------------

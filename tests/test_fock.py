@@ -16,6 +16,7 @@ from ladder_oracles import (
     is_reduced,
     ladder_amplitude_by_normalising,
     monomial_target_and_square,
+    norm_condition_by_rebuild,
     orbit_by_bfs,
     relation_residuals_by_products,
     to_matrix_by_entries,
@@ -305,6 +306,12 @@ def test_norm_condition_closed_forms():
         m = Fraction(2 * n + 1, 4)
         assert plus == Fraction(3, 16) + m * (m + 1)
         assert minus == Fraction(3, 16) + m * (m - 1)
+
+
+def test_norm_condition_matches_rebuilt_product():
+    # the cached words of x†x give the norms that a fresh x†x gives
+    for n in [*range(3000), 10**6, 10**12, 2**63 + 5]:
+        assert norm_condition(n) == norm_condition_by_rebuild(n), n
 
 
 def test_norm_condition_reads_no_amplitudes(monkeypatch):
