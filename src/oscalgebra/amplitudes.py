@@ -15,6 +15,7 @@ constructor `ExactAmplitude(terms)` hands it each c·√k as a one-factor part.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable
 
@@ -46,7 +47,7 @@ class ExactAmplitude:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[Fraction | int, int]] = ()):
-        parts = ((Scalar(Fraction(coeff)), (radicand,)) for coeff, radicand in terms)
+        parts = ((Scalar(coeff), (operator.index(radicand),)) for coeff, radicand in terms)
         object.__setattr__(self, "_terms", ExactAmplitude.root_sum(parts)._terms)
 
     def __setattr__(self, name, value):

@@ -33,7 +33,7 @@ import numpy as np
 from .amplitudes import ExactAmplitude
 from .relations import all_relations
 from .report import VerificationReport, numeric_check
-from .scalar import Scalar
+from .scalar import ZERO, Scalar
 from .weyl import NAMED_CONSTANTS, as_poly, hamiltonian
 
 
@@ -160,7 +160,7 @@ def norm_condition(n: int) -> tuple[Fraction, Fraction]:
     over the diagonal words c_pp·(a†)^p a^p of x†x.  x†x is built once per
     process, on the first call; later calls only sum its cached words."""
     plus, minus = (
-        sum((c * math.perm(n, p) for p, c in words), Scalar(0)).as_fraction()
+        sum((c * math.perm(n, p) for p, c in words), ZERO).as_fraction()
         for words in _norm_words()
     )
     return plus, minus

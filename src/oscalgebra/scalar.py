@@ -11,6 +11,10 @@ gcd(p, q, d) = 1, so arithmetic and == are integer operations and brackets
 and span solves build no `Fraction`.  The parts a = p/d and b = q/d stay
 public as read-only `Fraction` views for hashing, printing and callers that
 read them; each read builds them from the three ints.
+
+Exact input has one door, `Scalar(a, b)`, which mixed arithmetic and the
+polynomial and amplitude constructors share: a `numbers.Rational` (numpy
+integers included) enters as Python ints; anything else raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from fractions import Fraction
 from numbers import Rational
 
 
-def _fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, as Python ints."""
     if isinstance(value, Rational):
-        return Fraction(value)
+        return int(value.numerator), int(value.denominator)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -49,10 +52,10 @@ class Scalar:
     __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a=0, b=0):
-        a, b = _fraction(a), _fraction(b)
-        d = math.lcm(a.denominator, b.denominator)
-        self._p = a.numerator * (d // a.denominator)
-        self._q = b.numerator * (d // b.denominator)
+        (pa, da), (pb, db) = _ratio(a), _ratio(b)
+        d = math.lcm(da, db)
+        self._p = pa * (d // da)
+        self._q = pb * (d // db)
         self._d = d
 
     @property
@@ -84,9 +87,10 @@ class Scalar:
     def _coerce(other) -> "Scalar | None":
         if isinstance(other, Scalar):
             return other
-        if isinstance(other, Rational):
+        try:
             return Scalar(other)
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -172,7 +172,7 @@ class ClosureResult:
 def _bracket_in_mode(x: GradedElement, y: GradedElement, mode: str) -> GradedElement:
     if mode == GRADED:
         return graded_bracket(x, y)
-    return GradedElement(commutator(x.poly, y.poly), (x.parity + y.parity) % 2, check=False)
+    return GradedElement(commutator(x.poly, y.poly), (x.parity + y.parity) % 2)
 
 
 def close_under_bracket(
@@ -325,7 +325,7 @@ def jacobi_from_constants(sc: StructureConstants) -> VerificationReport:
         s3 = graded_sign(sc.parities[k], sc.parities[j])
         bad: list[str] = []
         for target in range(n):
-            total = Scalar(0)
+            total = ZERO
             for m in range(n):
                 total = (
                     total

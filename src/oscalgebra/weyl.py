@@ -20,6 +20,9 @@ Jacobi sum are each one call over (c, x, y) triples.  It brings all terms to
 one common denominator D, accumulates each monomial's coefficient as two
 integers P, Q for (P + Q·√½)/D, and reduces each surviving term once.
 
+Coefficients enter only through `Scalar`'s constructor and exponents through
+`operator.index`: numpy integers become ints, and floats raise `TypeError`.
+
 The mod-2 ladder degree grades the algebra: the bracket of two odd elements
 is an anticommutator, every other bracket is a commutator.
 """
@@ -28,13 +31,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Mapping
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .scalar import ROOT_HALF, Scalar, _reduced
+from .scalar import ROOT_HALF, ZERO, Scalar, _reduced
 
 EVEN = 0
 ODD = 1
@@ -81,12 +85,6 @@ def _canonical_key(m: LadderMonomial) -> tuple[int, int]:
     return (m.degree, m.p)
 
 
-def _as_scalar(c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    return Scalar(c)  # raises TypeError on floats: coefficients stay exact
-
-
 class WeylPolynomial:
     """Finite Q(√½)-linear combination of normal-ordered ladder monomials.
 
@@ -100,10 +98,10 @@ class WeylPolynomial:
         data: dict[LadderMonomial, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         for key, coeff in items:
-            mono = key if isinstance(key, LadderMonomial) else LadderMonomial(*key)
+            mono = LadderMonomial._make(map(operator.index, key))
             if mono.p < 0 or mono.q < 0:
                 raise ValueError(f"negative exponent in monomial {key}")
-            c = _as_scalar(coeff)
+            c = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
             if mono in data:
                 c = data[mono] + c
             if c:
@@ -162,7 +160,7 @@ class WeylPolynomial:
         return parities.pop()
 
     def coefficient(self, p: int, q: int) -> Scalar:
-        return self._terms.get(LadderMonomial(p, q), Scalar(0))
+        return self._terms.get(LadderMonomial(p, q), ZERO)
 
     # -- ring operations --------------------------------------------------------
 
@@ -180,9 +178,7 @@ class WeylPolynomial:
         return WeylPolynomial({m: -c for m, c in self._terms.items()})
 
     def scaled(self, factor) -> "WeylPolynomial":
-        f = _as_scalar(factor)
-        if f.is_zero:
-            return WeylPolynomial()
+        f = factor if isinstance(factor, Scalar) else Scalar(factor)
         return WeylPolynomial({m: c * f for m, c in self._terms.items()})
 
     def __mul__(self, other):
@@ -193,11 +189,7 @@ class WeylPolynomial:
         except TypeError:
             return NotImplemented
 
-    def __rmul__(self, other):
-        try:
-            return self.scaled(other)
-        except TypeError:
-            return NotImplemented
+    __rmul__ = __mul__  # reached only for a scalar left factor, which commutes
 
     def adjoint(self) -> "WeylPolynomial":
         """Formal dagger: (a†)^p a^q ↦ (a†)^q a^p, coefficients unchanged.
@@ -308,16 +300,16 @@ def product_sum(products) -> WeylPolynomial:
 
 @dataclass(frozen=True, slots=True)
 class GradedElement:
-    """A parity-homogeneous polynomial: the unit of superalgebra bookkeeping."""
+    """A parity-homogeneous polynomial: the unit of superalgebra bookkeeping.
+    Every construction validates the parity, a bracket's result included."""
 
     poly: WeylPolynomial
     parity: int
-    check: InitVar[bool] = True  # False only where the parity is fixed by construction
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self):
         if self.parity not in (EVEN, ODD):
             raise ValueError(f"parity must be {EVEN} or {ODD}, got {self.parity}")
-        bad = check and [m for m, _ in self.poly.items() if m.parity != self.parity]
+        bad = [m for m, _ in self.poly.items() if m.parity != self.parity]
         if bad:
             raise ValueError(
                 f"mixed-parity polynomial: declared {self.parity}, "
@@ -341,9 +333,9 @@ class GradedElement:
 
 def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:
     """[x, y} = xy - (-1)^(|x||y|) yx: anticommutator for two odd entries,
-    commutator otherwise.  Its parity, |x| + |y| mod 2, holds by construction."""
+    commutator otherwise, of parity |x| + |y| mod 2."""
     bracket = anticommutator if graded_sign(x.parity, y.parity) < 0 else commutator
-    return GradedElement(bracket(x.poly, y.poly), (x.parity + y.parity) % 2, check=False)
+    return GradedElement(bracket(x.poly, y.poly), (x.parity + y.parity) % 2)
 
 
 def as_poly(x) -> WeylPolynomial:

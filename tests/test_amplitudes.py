@@ -35,6 +35,12 @@ def test_construction_merges_and_reduces():
     assert amp.terms == ((2, Fraction(3)),)
 
 
+@pytest.mark.parametrize("coeff, radicand", [(0.1, 2), ("1/2", 2), (1, 2.0)])
+def test_inexact_input_rejected(coeff, radicand):
+    with pytest.raises(TypeError):
+        ExactAmplitude([(coeff, radicand)])
+
+
 def test_zero_is_empty():
     amp = ExactAmplitude([(Fraction(1), 2), (Fraction(-1), 2)])
     assert amp.is_zero

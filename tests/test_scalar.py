@@ -39,6 +39,8 @@ def test_floats_rejected():
         Scalar(0.5)
     with pytest.raises(TypeError):
         Scalar(1) * 0.5
+    # a numpy integer enters as a Python int, so it cannot overflow later
+    assert Scalar(np.int64(2**62)) * 4 == 2**64
 
 
 def test_int_scaling_matches_scalar_product():

@@ -19,6 +19,7 @@ from oscalgebra.superalgebra import (
     structure_constants,
 )
 from oscalgebra.weyl import (
+    A,
     EVEN,
     ODD,
     GradedElement,
@@ -231,9 +232,16 @@ def test_closure_brackets_each_pair_once(gens, monkeypatch, seed, mode):
 @settings(max_examples=100, deadline=None)
 @given(graded_elements(), graded_elements())
 def test_commutator_only_bracket_keeps_declared_parity(x, y):
-    # the closure's commutator-only brackets skip the constructor's monomial check
+    # every commutator-only bracket passes the constructor's parity check
     result = superalgebra._bracket_in_mode(x, y, "commutator-only")
     assert all(mono.parity == result.parity for mono, _ in result.poly.items())
+
+
+def test_commutator_only_closure_validates_parity(gens, monkeypatch):
+    # a bracket that breaks the grading is rejected, not stored in the basis
+    monkeypatch.setattr(superalgebra, "commutator", lambda x, y: A + monomial(2, 0))
+    with pytest.raises(ValueError):
+        close_under_bracket([gens["K3"], gens["Q"], gens["Q†"]], "commutator-only", 8)
 
 
 # -- basis validation ------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,9 @@ def test_single_rewrite():
 def test_already_normal_ordered():
     assert A * A == monomial(0, 2)
     assert ADAG * A == monomial(1, 1)
+    # a numpy coefficient squares like the Python int, without int64 overflow
+    big, exact = WeylPolynomial({(1, 0): np.int64(2**40)}), WeylPolynomial({(1, 0): 2**40})
+    assert big * big == exact * exact == monomial(2, 0, 2**80)
 
 
 def test_canonical_form_drops_zeros():
@@ -68,6 +72,13 @@ def test_monomial_bookkeeping():
 def test_negative_exponents_rejected():
     with pytest.raises(ValueError):
         WeylPolynomial({(-1, 0): 1})
+    with pytest.raises(TypeError):
+        WeylPolynomial({(1.5, 0): 1})
+    with pytest.raises(TypeError):
+        monomial(2.0, 0)
+    # a numpy exponent is an index: it is stored and printed as an int
+    [(mono, _)] = WeylPolynomial({(np.int64(2), 0): 1}).items()
+    assert type(mono.p) is int and str(mono) == "a†²"
 
 
 # -- generators -------------------------------------------------------------------
