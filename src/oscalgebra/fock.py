@@ -16,8 +16,9 @@ is built once, zero-padded operand bands make a diagonal pair's product one
 slice multiply, and a ±1 weight is an add or a subtract.  Every entry sums
 its terms in a fixed order (see `padded_product`), so no residual digit moves.
 
-The orbit partition never touches floats: reachability edges come from exact
-amplitudes, so "zero" means the empty term list.
+Exactly, x|n⟩ = Σ_d √ρ_d(n)·S_d(n)|n+d⟩ with ρ_d(n) the product of the integers
+from min(n, n+d)+1 to max(n, n+d) and S_d(n) in Q(√½), one sum per offset (`act`).
+The orbit's edges n → n+d are its nonzero offsets, so no float enters them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .amplitudes import ExactAmplitude
 from .relations import all_relations
 from .report import VerificationReport, numeric_check
-from .scalar import ZERO, Scalar
+from .scalar import ZERO, Scalar, _reduced
 from .weyl import NAMED_CONSTANTS, as_poly, hamiltonian
 
 
@@ -131,39 +132,37 @@ def parity_matrix(dim: int) -> FockOperator:
     return FockOperator(dim=dim, bands={0: signs})
 
 
-def ladder_amplitude(x, n: int) -> dict[int, ExactAmplitude]:
-    """Exact amplitudes of x|n⟩ keyed by target index; zeros are dropped."""
+def act(x, n: int) -> dict[int, Scalar]:
+    """x|n⟩ as {d: S_d(n)}, offsets ascending, zeros dropped: S_d(n) = Σ c·(m)_k
+    over the monomials c·(a†)^p a^q with p-q = d and q ≤ n, m = min(n, n+d) and
+    k = min(p, q); per offset two integer sums over one denominator, reduced once."""
     if n < 0:
         raise ValueError("number-state index must be non-negative")
-    parts: dict[int, list] = {}
-    for mono, coeff in as_poly(x).items():
-        if n >= mono.q:  # otherwise annihilation terminates below |0⟩
-            target = n - mono.q + mono.p
-            parts.setdefault(target, []).append((coeff, _shift_factors(mono.p, mono.q, n)))
-    amps = ((m, ExactAmplitude.root_sum(terms)) for m, terms in sorted(parts.items()))
-    return {m: amp for m, amp in amps if amp}
+    den, terms = as_poly(x)._integer_terms()
+    sums: dict[int, tuple[int, int]] = {}
+    for p, q, cp, cq in terms:
+        if q <= n:  # otherwise annihilation terminates below |0⟩
+            w = math.perm(min(n, n + p - q), min(p, q))
+            sp, sq = sums.get(p - q, (0, 0))
+            sums[p - q] = (sp + cp * w, sq + cq * w)
+    return {d: _reduced(sp, sq, den) for d, (sp, sq) in sorted(sums.items()) if sp or sq}
 
 
-@functools.cache
-def _norm_words() -> tuple[tuple[tuple[int, Scalar], ...], ...]:
-    """The diagonal words (p, c_pp) of the normal-ordered x†x for x = K+
-    and x = K-; the words off the diagonal move |n⟩ and drop out."""
-    words = []
-    for name in ("K+", "K-"):
-        x = NAMED_CONSTANTS[name].poly
-        words.append(tuple((mono.p, c) for mono, c in (x.adjoint() * x).items() if mono.p == mono.q))
-    return tuple(words)
+def ladder_amplitude(x, n: int) -> dict[int, ExactAmplitude]:
+    """Exact amplitudes of x|n⟩ keyed by target index: S_d(n)·√ρ_d(n) at n+d for
+    each offset d of `act`, ρ_d(n) handed over as its factors; zeros are dropped."""
+    return {
+        n + d: ExactAmplitude.root_sum([(s, range(min(n, n + d) + 1, max(n, n + d) + 1))])
+        for d, s in act(x, n).items()
+    }
 
 
 def norm_condition(n: int) -> tuple[Fraction, Fraction]:
-    """Exact (‖K+|n⟩‖², ‖K-|n⟩‖²) as ⟨n|x†x|n⟩ = Σ c_pp·n!/(n-p)!, summed
-    over the diagonal words c_pp·(a†)^p a^p of x†x.  x†x is built once per
-    process, on the first call; later calls only sum its cached words."""
-    plus, minus = (
-        sum((c * math.perm(n, p) for p, c in words), ZERO).as_fraction()
-        for words in _norm_words()
-    )
-    return plus, minus
+    """Exact (‖K+|n⟩‖², ‖K-|n⟩‖²) as Σ_d ρ_d(n)·S_d(n)² over the offsets of `act`,
+    ρ_d(n) = (max(n, n+d))_|d|: the targets |n+d⟩ are orthonormal, S_d(n) real."""
+    norms = (act(NAMED_CONSTANTS[k], n).items() for k in ("K+", "K-"))
+    plus, minus = (sum((s * s * math.perm(max(n, n + d), abs(d)) for d, s in x), ZERO) for x in norms)
+    return plus.as_fraction(), minus.as_fraction()
 
 
 @dataclass(frozen=True)

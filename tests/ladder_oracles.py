@@ -14,9 +14,9 @@ neighbour sets instead of union-find.  The residual reference likewise
 shares the matrix builder: it reads its bands from `to_matrix` (tested
 against the entry-by-entry builder) and multiplies them one `FockOperator`
 pair at a time into zero-filled bands, the plain form of the band kernel's
-arithmetic.  The norm reference shares the contraction product too: it
-rebuilds x†x on every call, so it checks the once-per-process words of
-`norm_condition`, not the product (the stepwise squares check that).
+arithmetic.  The norm reference takes the other road to the norms: it builds
+x†x with the contraction product on every call and sums its diagonal words,
+where `norm_condition` reads the exact Fock action `act` and builds no product.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def to_matrix_by_entries(poly: WeylPolynomial, dim: int, dtype) -> dict[int, np.
 
 
 def norm_condition_by_rebuild(n: int) -> tuple[Fraction, Fraction]:
-    """`fock.norm_condition` with x†x rebuilt on every call: the normal-ordered
-    product K±†K± is formed afresh and its diagonal words summed at n."""
+    """`fock.norm_condition` through x†x: the normal-ordered product K±†K±
+    is formed afresh on every call and its diagonal words summed at n."""
     values = []
     for name in ("K+", "K-"):
         x = NAMED_CONSTANTS[name].poly

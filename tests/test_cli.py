@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oscalgebra
-from oscalgebra import cli, fock, weyl
+from oscalgebra import cli, weyl
 from oscalgebra.cli import RunConfig, build_verify_report, main, resolve_generator_names
 from oscalgebra.report import INFORMATIONAL, VerificationReport
 from oscalgebra.weyl import monomial
@@ -274,8 +274,8 @@ def test_spectrum_csv(capsys):
     assert lines[3] == "2,2.5,5/4,+,3,1/2"
 
 
-def test_spectrum_builds_x_dagger_x_once_per_process(capsys, monkeypatch):
-    # one x†x product for K+ and one for K-, however many rows are printed
+def test_spectrum_makes_no_product(capsys, monkeypatch):
+    # the norms are read off the exact Fock action: no polynomial product at all
     calls, product_sum = [], weyl.product_sum
 
     def counting(products):
@@ -283,10 +283,9 @@ def test_spectrum_builds_x_dagger_x_once_per_process(capsys, monkeypatch):
         return product_sum(products)
 
     monkeypatch.setattr(weyl, "product_sum", counting)
-    fock._norm_words.cache_clear()
     code, out, _ = run_cli(capsys, "spectrum", "--dim", "100", "--format", "json")
     assert code == 0 and len(json.loads(out)["spectrum"]) == 100
-    assert len(calls) <= 2
+    assert calls == []
 
 
 def test_spectrum_scaled_json(capsys):

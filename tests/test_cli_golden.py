@@ -8,8 +8,13 @@ precision work on the numeric layer does not churn the files.  Exact markers,
 names, statuses and the config block are compared as they are.
 
 Regenerate the files with `PYTHONPATH=src python tests/test_cli_golden.py`.
+
+The large outputs, orbits and the spectrum at dim 3000, are pinned by the
+SHA-256 of their unmasked stdout instead of a file; a change that means to
+alter them updates the digests in `LARGE_DIGESTS` by hand.
 """
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -36,6 +41,20 @@ COMMANDS = {
     "spectrum": ["spectrum", "--dim", "8"],
 }
 FORMATS = ("text", "json")
+
+LARGE_COMMANDS = {
+    "orbit_osp_seed5_dim3000": ["orbit", "--set", "osp", "--seed", "5", "--dim", "3000"],
+    "orbit_so21_seed7_dim3000": ["orbit", "--set", "so21", "--seed", "7", "--dim", "3000"],
+    "spectrum_dim3000": ["spectrum", "--dim", "3000"],
+}
+LARGE_DIGESTS = {
+    ("orbit_osp_seed5_dim3000", "json"): "fd0fd31a759d629c637a787dd3fb2c8f29780938dc5f91f9b5b50876f2051d0d",
+    ("orbit_osp_seed5_dim3000", "text"): "bc87fceee27b7a8b9ae53e44ec258052a535abdbb4006b63fe53a5fe44d08ab1",
+    ("orbit_so21_seed7_dim3000", "json"): "f72baaf05bff0e2399fb7ecca923038f70481c13902e904acf76286f027703ba",
+    ("orbit_so21_seed7_dim3000", "text"): "90335207bd0674f6cff58fcd6ef94b15ab4135e8c47c6a76e268dba6228bf341",
+    ("spectrum_dim3000", "json"): "8196d203b3bb43e2c97fb971cf560d7c3544194dc8ed3906b04d253a2b5c1c79",
+    ("spectrum_dim3000", "text"): "f9ea728b791ceef9edd457e33ddf5ff83cc33e028773d77988c36dcb8e1c9c3b",
+}
 
 _FLOAT = r"-?\d+(?:\.\d+)?(?:e[+-]?\d+)?"
 _JSON_RESIDUAL = re.compile(rf'("residual": ){_FLOAT}')
@@ -67,6 +86,15 @@ def test_cli_output_matches_golden(name, fmt, capsys):
     code, out = run_masked(name, fmt, lambda: capsys.readouterr().out)
     assert code == 0
     assert out == golden_path(name, fmt).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", LARGE_COMMANDS)
+def test_large_output_matches_digest(name, fmt, capsys):
+    code = main([*LARGE_COMMANDS[name], "--format", fmt])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == LARGE_DIGESTS[name, fmt]
 
 
 def test_masking_keeps_exact_entries():

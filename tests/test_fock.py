@@ -17,6 +17,7 @@ from ladder_oracles import (
     ladder_amplitude_by_normalising,
     monomial_target_and_square,
     norm_condition_by_rebuild,
+    normalise_radicals,
     orbit_by_bfs,
     relation_residuals_by_products,
     to_matrix_by_entries,
@@ -24,6 +25,7 @@ from ladder_oracles import (
 from oscalgebra.amplitudes import ExactAmplitude
 from oscalgebra.fock import (
     FockOperator,
+    act,
     ladder_amplitude,
     norm_condition,
     orbit,
@@ -41,6 +43,7 @@ from oscalgebra.weyl import (
     IDENTITY,
     WeylPolynomial,
     casimir,
+    commutator,
     hamiltonian,
     monomial,
     standard_generators,
@@ -233,7 +236,7 @@ def test_casimir_acts_as_constant_on_states():
 
 def _random_poly(rng: random.Random, n: int) -> WeylPolynomial:
     """Up to five monomials of degree ≤ 6 with Q(√½) coefficients, plus, half
-    of the time, a pair of diagonal monomials that cancel exactly on |n⟩."""
+    of the time, a pair of monomials on one offset d that cancel exactly on |n⟩."""
 
     def fraction() -> Fraction:
         return Fraction(rng.choice((0, rng.randint(-9, 9))), rng.randint(1, 4))
@@ -243,14 +246,19 @@ def _random_poly(rng: random.Random, n: int) -> WeylPolynomial:
         p = rng.randint(0, 6)
         terms[p, rng.randint(0, 6 - p)] = Scalar(fraction(), fraction())
     if rng.random() < 0.5:
-        # a†ᵏa^k|n⟩ = n(n-1)…(n-k+1)|n⟩, so c·a†ʲaʲ - c·(ratio)·a†ᵏaᵏ vanishes there
-        j, k = rng.sample(range(1, 4), 2)
-        _, sj = monomial_target_and_square(j, j, n)
-        _, sk = monomial_target_and_square(k, k, n)
+        # a†^(j+d)a^j and a†^(k+d)a^k both send |n⟩ to |n+d⟩, and their squared
+        # amplitudes differ by a rational square, so c′ = -c·ratio cancels c there
+        d = rng.randint(-2, 2)
+        j, k = rng.sample(range(max(1, -d), max(1, -d) + 3), 2)
+        _, sj = monomial_target_and_square(j + d, j, n)
+        _, sk = monomial_target_and_square(k + d, k, n)
         if sj and sk:
+            square = sj / sk
+            ratio = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator))
+            assert ratio * ratio == square
             c = Scalar(fraction(), fraction())
-            terms[j, j] = c
-            terms[k, k] = -c * Fraction(math.isqrt(int(sj)), math.isqrt(int(sk)))
+            terms[j + d, j] = c
+            terms[k + d, k] = -c * ratio
     return WeylPolynomial(terms)
 
 
@@ -263,6 +271,37 @@ def test_ladder_amplitude_matches_normalising_oracle():
         assert amps == ladder_amplitude_by_normalising(poly, n), (poly, n)
         assert list(amps) == sorted(amps)
         assert all(is_reduced(amp) for amp in amps.values())
+
+
+def test_act_matches_normalising_oracle():
+    # √ρ_d(n)·S_d(n) goes into the radicands, so the check bypasses `root_sum`
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(0, 200)
+        poly = _random_poly(rng, n)
+        expected = ladder_amplitude_by_normalising(poly, n)
+        sums = act(poly, n)
+        assert list(sums) == [m - n for m in sorted(expected)], (poly, n)
+        for d, s in sums.items():
+            rho = math.prod(range(min(n, n + d) + 1, max(n, n + d) + 1))
+            assert normalise_radicals([(s.a, rho), (s.b / 2, 2 * rho)]) == expected[n + d]
+
+
+def test_act_negative_index_rejected():
+    with pytest.raises(ValueError):
+        act(A, -1)
+    with pytest.raises(ValueError):
+        norm_condition(-1)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_act_k_photon_structure_function(k):
+    # [a^k, a†^k]|n⟩ = ((n+k)!/n! - n!/(n-k)!)|n⟩, exactly, on the Fock side
+    bracket = commutator(monomial(0, k), monomial(k, 0))
+    for n in [*range(40), 10**12]:
+        rising = math.prod(range(n + 1, n + k + 1))
+        falling = math.prod(range(n - k + 1, n + 1)) if n >= k else 0
+        assert act(bracket, n) == {0: Scalar(rising - falling)}, (k, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,13 +348,13 @@ def test_norm_condition_closed_forms():
 
 
 def test_norm_condition_matches_rebuilt_product():
-    # the cached words of x†x give the norms that a fresh x†x gives
+    # the norms read off `act` equal those of a freshly built x†x
     for n in [*range(3000), 10**6, 10**12, 2**63 + 5]:
         assert norm_condition(n) == norm_condition_by_rebuild(n), n
 
 
 def test_norm_condition_reads_no_amplitudes(monkeypatch):
-    # the norms come from ⟨n|x†x|n⟩ on the symbolic product, not from amplitudes
+    # the norms come from the exact sums of `act`, not from amplitudes
     def forbidden(*args, **kwargs):
         raise AssertionError("norm_condition built an amplitude")
 
