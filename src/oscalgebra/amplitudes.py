@@ -1,9 +1,9 @@
 """Exact sums of rational multiples of square roots: Σ cᵢ·√kᵢ.
 
 Ladder actions produce amplitudes like √n and ½√((n+1)(n+2)).  Keeping them
-as rational coefficients attached to square-free integer radicands gives an
-exact zero test (the term list is empty), which is what the orbit partition
-relies on instead of a floating threshold.
+as rational coefficients attached to square-free integer radicands gives
+exact values and an exact zero test (the term list is empty).  The orbit
+partition reads none of them: its edges are `fock.act`'s nonzero offsets.
 
 `root_sum` is the one normaliser: it splits each positive factor with
 `square_free` and merges a running square-free radicand without factoring

@@ -140,7 +140,6 @@ def build_verify_report(config: RunConfig) -> VerificationReport:
     osp = _osp_basis()
     relations = all_relations()
     identities = [(rel.name, rel.residual_poly()) for rel in relations]
-    kappa = casimir().coefficient(0, 0)
     amp = ladder_amplitude(dict(osp)["K+"], 0)[2]
     exact_pair = norm_condition(1)
     literal_pair = (Fraction(3, 16) + 1 * 2, Fraction(3, 16) + 1 * 0)
@@ -162,14 +161,14 @@ def build_verify_report(config: RunConfig) -> VerificationReport:
                 f"({exact_pair[0]}, {exact_pair[1]}) while substituting n gives "
                 f"({literal_pair[0]}, {literal_pair[1]})",
             ),
-        ],
-        kappa.as_fraction() if kappa.is_rational else None,
+        ]
     )
 
 
 def cmd_verify(config: RunConfig) -> CommandResult:
     report = build_verify_report(config)
-    payload = report.as_dict()
+    kappa = str(casimir().coefficient(0, 0))
+    payload = {**report.as_dict(), "casimir": kappa}
 
     def text() -> list[str]:
         mark = {PASS: "PASS", FAIL: "FAIL", INFORMATIONAL: "INFO"}
@@ -180,11 +179,12 @@ def cmd_verify(config: RunConfig) -> CommandResult:
                 res = "-" if res is None else f"{res:.3e}"
             line = f"[{mark[check['status']]}] {check['name']:<24} {res:>10}"
             lines.append(f"{line}  {check['detail']}" if check["detail"] else line)
-        n_pass, n_fail, n_info = report.counts()
+        statuses = [c.status for c in report.checks]
         return lines + [
             "",
-            f"casimir eigenvalue: {report.casimir_eigenvalue}",
-            f"summary: {n_pass} passed, {n_fail} failed, {n_info} informational",
+            f"casimir eigenvalue: {kappa}",
+            f"summary: {statuses.count(PASS)} passed, {statuses.count(FAIL)} failed,"
+            f" {statuses.count(INFORMATIONAL)} informational",
         ]
 
     return payload, text, 0 if report.passed else 1

@@ -13,7 +13,6 @@ Each verdict row comes from one of four builders:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 EXACT_ZERO = "0 (exact)"
 
@@ -77,7 +76,6 @@ def informational(name: str, detail: str) -> Check:
 @dataclass
 class VerificationReport:
     checks: list[Check] = field(default_factory=list)
-    casimir_eigenvalue: Fraction | None = None
 
     @property
     def passed(self) -> bool:
@@ -87,16 +85,5 @@ class VerificationReport:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.status == FAIL]
 
-    def counts(self) -> tuple[int, int, int]:
-        n_pass = sum(1 for c in self.checks if c.status == PASS)
-        n_fail = sum(1 for c in self.checks if c.status == FAIL)
-        n_info = sum(1 for c in self.checks if c.status == INFORMATIONAL)
-        return n_pass, n_fail, n_info
-
     def as_dict(self) -> dict:
-        return {
-            "checks": [c.as_dict() for c in self.checks],
-            "casimir": None
-            if self.casimir_eigenvalue is None
-            else str(self.casimir_eigenvalue),
-        }
+        return {"checks": [c.as_dict() for c in self.checks]}

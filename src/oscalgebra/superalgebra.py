@@ -43,7 +43,6 @@ class ClosureOverflowError(RuntimeError):
             f"bracket closure exceeds max_dim={max_dim}; "
             f"basis so far: {', '.join(names)}"
         )
-        self.max_dim = max_dim
         self.names = names
 
 
@@ -201,12 +200,12 @@ def close_under_bracket(
         raise ValueError("seed elements are linearly dependent")
 
     counter = itertools.count()
-    taken: set[str] = set()
 
     def fresh_name(poly: WeylPolynomial) -> tuple[str, GradedElement | None]:
+        # each canonical name comes at most once: the seed is independent,
+        # and a later multiple of a named element fails echelon.add
         name = canonical_name(poly)
-        if name is not None and name not in taken:
-            taken.add(name)
+        if name is not None:
             return name, NAMED_CONSTANTS[name]
         return f"G{next(counter)}", None
 

@@ -182,14 +182,9 @@ class WeylPolynomial:
         return WeylPolynomial({m: c * f for m, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, WeylPolynomial):
-            return product_sum(((1, self, other),))
-        try:
-            return self.scaled(other)
-        except TypeError:
+        if not isinstance(other, WeylPolynomial):
             return NotImplemented
-
-    __rmul__ = __mul__  # reached only for a scalar left factor, which commutes
+        return product_sum(((1, self, other),))
 
     def adjoint(self) -> "WeylPolynomial":
         """Formal dagger: (a†)^p a^q ↦ (a†)^q a^p, coefficients unchanged.
@@ -326,9 +321,6 @@ class GradedElement:
         if parity is None:
             raise ValueError(f"polynomial is not parity-homogeneous: {x}")
         return cls(x, parity)
-
-    def __str__(self) -> str:
-        return str(self.poly)
 
 
 def graded_bracket(x: GradedElement, y: GradedElement) -> GradedElement:

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oscalgebra import superalgebra
@@ -24,6 +24,7 @@ from oscalgebra.weyl import (
     ODD,
     GradedElement,
     IDENTITY,
+    NAMED_CONSTANTS,
     WeylPolynomial,
     monomial,
     standard_generators,
@@ -144,6 +145,33 @@ def test_generations_counting(gens):
     assert closed.generations == 1  # one sweep, nothing to add
     grown = close_under_bracket([gens["Q"], gens["Q†"]], "graded", 8)
     assert grown.generations == 2  # everything appears in the first sweep
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.lists(graded_elements(3, 2).filter(lambda e: e.poly), min_size=1, max_size=3),
+    mode=st.sampled_from(("graded", "commutator-only")),
+    data=st.data(),
+)
+def test_closure_names_never_repeat(seed, mode, data):
+    # a multiple of a named element already lies in the span, so each
+    # canonical name is given at most once and G-names count up from G0
+    max_dim = data.draw(st.integers(len(seed), 10), label="max_dim")
+    try:
+        basis = close_under_bracket(seed, mode, max_dim).basis
+    except ClosureOverflowError as err:
+        names, added = err.names, []
+    except ValueError as err:
+        assert "linearly dependent" in str(err)
+        assume(False)
+    else:
+        names, added = [name for name, _ in basis], list(basis)[len(seed):]
+    assert len(set(names)) == len(names)
+    g_names = [name for name in names if name not in NAMED_CONSTANTS]
+    assert g_names == [f"G{i}" for i in range(len(g_names))]
+    for name, element in added:
+        if name in NAMED_CONSTANTS:
+            assert element is NAMED_CONSTANTS[name]
 
 
 # Higher-degree seeds, the benchmark's closure workload: overflow names and

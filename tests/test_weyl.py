@@ -55,6 +55,18 @@ def test_already_normal_ordered():
     assert big * big == exact * exact == monomial(2, 0, 2**80)
 
 
+@pytest.mark.parametrize("c", [2, Fraction(1, 2), ROOT_HALF], ids=["int", "fraction", "root-half"])
+def test_star_multiplies_polynomials_only(c):
+    # `*` is the polynomial product alone; `scaled` is the one way to scale
+    x = WeylPolynomial({(1, 1): Fraction(1, 2), (0, 1): ROOT_HALF, (0, 0): 3})
+    with pytest.raises(TypeError):
+        x * c
+    with pytest.raises(TypeError):
+        c * x
+    assert x * x == product_sum(((1, x, x),))
+    assert x.scaled(c) == WeylPolynomial({m: coeff * c for m, coeff in x.items()})
+
+
 def test_canonical_form_drops_zeros():
     assert WeylPolynomial({(1, 0): 1, (0, 1): 0}) == ADAG
     assert (A - A).is_zero
