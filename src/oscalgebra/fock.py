@@ -268,16 +268,22 @@ def relation_residuals(dim: int, tolerance: float = 1e-12, relations=None) -> Ve
         )
     dtype = np.longdouble
     bands = _band_builder(dim, dtype)
-    operands = {z for rel in relations for _, x, y in rel.products for z in (x, y)}
+    operands = {z for rel in relations for _, x, y, _ in rel.products for z in (x, y)}
     pad = max(z.degree for z in operands)  # ≥ every operand offset
     operand = {z: bands(z, pad) for z in operands}
 
     report = VerificationReport()
     for rel in relations:
-        # Σ c·(x·y) - rhs, band by band, in the order the products are listed;
-        # the right side comes last, weight -1, built from the cached roots
+        # Σ c·(x·y − σ·y·x) - rhs, band by band: each term is the product x·y
+        # at weight c, then y·x at weight -σ·c; the right side comes last,
+        # weight -1, built from the cached roots
+        products = []
+        for c, x, y, sigma in rel.products:
+            products.append((c, x, y))
+            if sigma:
+                products.append((-sigma * c, y, x))
         diff: dict[int, np.ndarray] = {}
-        for c, x, y in (*rel.products, (-1, rel.rhs, None)):
+        for c, x, y in (*products, (-1, rel.rhs, None)):
             part = bands(x) if y is None else padded_product(operand[x], operand[y], dim, pad)
             for d, band in part.items():
                 if c != 1 and c != -1:  # a weight of ±1 is an add or a subtract

@@ -3,9 +3,10 @@
 One table feeds two independent verification routes: the symbolic suite
 checks each identity as an exact polynomial equality, and the Fock-space
 suite re-checks it with truncated matrix products.  Each left side is data,
-a sum of signed products c·(x·y), which both suites evaluate the same way.
-A bracket [x,y} = xy - (-1)^(|x||y|)·yx takes its kind from the parities of
-x and y: {x,y} when both are odd, [x,y] otherwise.
+a sum of bracket terms c·(x·y − σ·y·x), which both suites evaluate the same
+way.  A bracket [x,y} = xy - (-1)^(|x||y|)·yx is one term with σ the graded
+sign of x and y: {x,y} when both are odd, [x,y] otherwise.  The Casimir's
+three terms are plain products, σ = 0.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ CASIMIR_NAME = "K² = 3/16"
 
 @dataclass(frozen=True)
 class Relation:
-    """One identity Σ c·(x·y) = rhs over its (c, x, y) products."""
+    """One identity Σ c·(x·y − σ·y·x) = rhs over its (c, x, y, σ) terms."""
 
     name: str
-    products: tuple[tuple[Fraction | int, WeylPolynomial, WeylPolynomial], ...]
+    products: tuple[tuple[Fraction | int, WeylPolynomial, WeylPolynomial, int], ...]
     rhs: WeylPolynomial
     window_margin: int  # matrix checks trust the leading (dim - window_margin)² block
 
@@ -48,7 +49,7 @@ class Relation:
 def _bracket(name: str, x: WeylPolynomial, y: WeylPolynomial, rhs: WeylPolynomial) -> Relation:
     """[x,y} = rhs; the margin is twice the larger operand degree."""
     sign = graded_sign(x.parity(), y.parity())
-    return Relation(name, ((1, x, y), (-sign, y, x)), rhs, 2 * max(x.degree, y.degree))
+    return Relation(name, ((1, x, y, sign),), rhs, 2 * max(x.degree, y.degree))
 
 
 def all_relations() -> list[Relation]:

@@ -5,7 +5,8 @@ coefficient field Q(√½), with rows keyed by leading monomial in the (total
 degree, creation exponent) order, so span decisions are deterministic: no
 numeric rank thresholds anywhere.  Bracket closure keeps one echelon across
 all sweeps and brackets only the pairs that involve an element new since the
-previous sweep, reducing each bracket once.
+previous sweep, reducing each bracket once; the closed basis reads its
+spans off that same echelon.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .report import VerificationReport, identity_check, symbolic_check
-from .scalar import ZERO, Scalar
+from .scalar import ZERO, Scalar, _reduced
 from .weyl import (
     ANTICOMMUTATOR,
     COMMUTATOR,
@@ -76,10 +77,19 @@ class Echelon:
                 return rest, lead, used
             factor = rest[lead]
             used.append((factor, row))
+            fp, fq, fd = factor._p, factor._q, factor._d
             for mono, c in row[0].items():
-                s = rest.get(mono, ZERO) - factor * c
-                if s:
-                    rest[mono] = s
+                # rest[mono] - factor·c over one denominator, reduced once,
+                # with factor·c = (mp + mq·√½)/md
+                cp, cq, cd = c._p, c._q, c._d
+                if fq and cq:
+                    mp, mq, md = 2 * fp * cp + fq * cq, 2 * (fp * cq + fq * cp), 2 * fd * cd
+                else:
+                    mp, mq, md = fp * cp, fp * cq + fq * cp, fd * cd
+                r = rest.get(mono, ZERO)
+                p, q = r._p * md - mp * r._d, r._q * md - mq * r._d
+                if p or q:
+                    rest[mono] = _reduced(p, q, r._d * md)
                 else:
                     del rest[mono]
         return rest, None, used
@@ -130,6 +140,15 @@ class AlgebraBasis:
         if not all(echelon.add(e.poly) for _, e in self.elements):
             raise ValueError("basis elements are linearly dependent")
         object.__setattr__(self, "_echelon", echelon)
+
+    @classmethod
+    def _of_echelon(cls, elements, echelon: Echelon) -> "AlgebraBasis":
+        """The basis of `elements` over an echelon that holds exactly their
+        polynomials, inserted in this order; the caller vouches for both."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "elements", elements)
+        object.__setattr__(basis, "_echelon", echelon)
+        return basis
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -200,41 +219,34 @@ def close_under_bracket(
         raise ValueError("seed elements are linearly dependent")
 
     counter = itertools.count()
-
-    def fresh_name(poly: WeylPolynomial) -> tuple[str, GradedElement | None]:
-        # each canonical name comes at most once: the seed is independent,
-        # and a later multiple of a named element fails echelon.add
-        name = canonical_name(poly)
-        if name is not None:
-            return name, NAMED_CONSTANTS[name]
-        return f"G{next(counter)}", None
-
-    named: list[tuple[str, GradedElement]] = []
-    for elem in elements:
-        name, _ = fresh_name(elem.poly)
-        named.append((name, elem))
+    named = [(canonical_name(e.poly) or f"G{next(counter)}", e) for e in elements]
 
     generations = 0
     done = 0  # pairs within the first `done` elements were bracketed before
     while done < len(named):
         generations += 1
         size = len(named)
-        for i, j in itertools.combinations_with_replacement(range(size), 2):
-            if j < done:
-                continue  # already inside the span, or added to it
-            xi, xj = named[i][1], named[j][1]
-            if i == j and (mode != GRADED or graded_sign(xi.parity, xi.parity) > 0):
-                continue  # [x, x] = 0; only {x, x} can produce anything
-            result = _bracket_in_mode(xi, xj, mode)
-            if not echelon.add(result.poly):
-                continue
-            if len(named) + 1 > max_dim:
-                raise ClosureOverflowError(max_dim, [n for n, _ in named])
-            name, normalized = fresh_name(result.poly)
-            named.append((name, normalized if normalized is not None else result))
+        for i in range(size):
+            for j in range(max(i, done), size):
+                xi, xj = named[i][1], named[j][1]
+                if i == j and (mode != GRADED or graded_sign(xi.parity, xi.parity) > 0):
+                    continue  # [x, x] = 0; only {x, x} can produce anything
+                result = _bracket_in_mode(xi, xj, mode)
+                # a multiple of a standard generator or the identity enters
+                # as that element, so the echelon holds what the basis lists;
+                # each such name comes at most once, as a later multiple of a
+                # named element fails echelon.add
+                name = canonical_name(result.poly)
+                if name is not None:
+                    result = NAMED_CONSTANTS[name]
+                if not echelon.add(result.poly):
+                    continue
+                if len(named) + 1 > max_dim:
+                    raise ClosureOverflowError(max_dim, [n for n, _ in named])
+                named.append((name or f"G{next(counter)}", result))
         done = size
     return ClosureResult(
-        basis=AlgebraBasis(tuple(named)),
+        basis=AlgebraBasis._of_echelon(tuple(named), echelon),
         generations=generations,
         added=tuple(name for name, _ in named[len(elements):]),
     )
@@ -300,16 +312,15 @@ def graded_jacobi_check(basis: AlgebraBasis) -> VerificationReport:
     inner = {(v, w): graded_bracket(basis[v][1], basis[w][1])
              for v, w in itertools.product(range(basis.dim), repeat=2)}
     for i, j, k in itertools.combinations_with_replacement(range(basis.dim), 3):
-        # each term (-1)^(|u||w|)·[u, B} with B = [v, w} is the two products
-        # u·B and -(-1)^(|u||B|)·B·u: one kernel call over six products
-        products = []
+        # each term (-1)^(|u||w|)·[u, B} with B = [v, w} is one kernel term
+        # with σ = (-1)^(|u||B|): one kernel call over three terms
+        terms = []
         for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
             xu, b = basis[u][1], inner[v, w]
-            sign = graded_sign(xu.parity, basis[w][1].parity)
-            products += [(sign, xu.poly, b.poly),
-                         (-sign * graded_sign(xu.parity, b.parity), b.poly, xu.poly)]
+            terms.append((graded_sign(xu.parity, basis[w][1].parity), xu.poly, b.poly,
+                          graded_sign(xu.parity, b.parity)))
         name = f"jacobi({names[i]},{names[j]},{names[k]})"
-        report.checks.append(identity_check(name, product_sum(products)))
+        report.checks.append(identity_check(name, product_sum(terms)))
     return report
 
 

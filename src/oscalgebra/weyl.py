@@ -16,9 +16,12 @@ which is what "apply the rule until nothing is left to rewrite" converges to
 regardless of rewrite order (the test suite checks this against a randomly
 scheduled rewriter).  One integer kernel, `product_sum`, evaluates every
 product: x·y, both brackets, the Casimir and relation sums and the graded
-Jacobi sum are each one call over (c, x, y) triples.  It brings all terms to
-one common denominator D, accumulates each monomial's coefficient as two
-integers P, Q for (P + Q·√½)/D, and reduces each surviving term once.
+Jacobi sum are each one call over (c, x, y, σ) terms c·(x·y − σ·y·x).  Both
+orders of a term pair land on the same monomials, so each pair is visited
+once with the difference of their weights: a commutator (σ = 1) never forms
+the k = 0 terms that cancel.  The kernel brings all terms to one common
+denominator D, accumulates each monomial's coefficient as two integers P, Q
+for (P + Q·√½)/D, and reduces each surviving term once.
 
 Coefficients enter only through `Scalar`'s constructor and exponents through
 `operator.index`: numpy integers become ints, and floats raise `TypeError`.
@@ -184,7 +187,7 @@ class WeylPolynomial:
     def __mul__(self, other):
         if not isinstance(other, WeylPolynomial):
             return NotImplemented
-        return product_sum(((1, self, other),))
+        return product_sum(((1, self, other, 0),))
 
     def adjoint(self) -> "WeylPolynomial":
         """Formal dagger: (a†)^p a^q ↦ (a†)^q a^p, coefficients unchanged.
@@ -245,11 +248,11 @@ ANTICOMMUTATOR = "anticommutator"
 
 
 def commutator(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
-    return product_sum(((1, x, y), (-1, y, x)))
+    return product_sum(((1, x, y, 1),))
 
 
 def anticommutator(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
-    return product_sum(((1, x, y), (1, y, x)))
+    return product_sum(((1, x, y, -1),))
 
 
 def graded_sign(px: int, py: int) -> int:
@@ -261,35 +264,52 @@ def graded_sign(px: int, py: int) -> int:
     return -1 if px == ODD and py == ODD else 1
 
 
-def product_sum(products) -> WeylPolynomial:
-    """Σ c·(x·y) over (c, x, y) products, c an int or a Fraction: the one
-    product kernel.  Contracting k of the q annihilators of (a†)^p a^q with
-    the r creators of (a†)^r a^s gives the integer weight
-    w_k = k!·C(q,k)·C(r,k) on (a†)^(p+r-k) a^(q+s-k).  Over one common
+def product_sum(terms) -> WeylPolynomial:
+    """Σ c·(x·y − σ·y·x) over (c, x, y, σ) terms, c an int or a Fraction and
+    σ ∈ {-1, 0, 1}: the one product kernel.  Contracting k of the q
+    annihilators of (a†)^p a^q with the r creators of (a†)^r a^s gives the
+    integer weight w_k(q,r) = k!·C(q,k)·C(r,k) on (a†)^(p+r-k) a^(q+s-k), and
+    contracting k of the order y·x lands on the same monomial with w_k(s,p);
+    so each term pair is visited once with weight w_k(q,r) − σ·w_k(s,p).  A
+    commutator starts at k = 1, as its k = 0 weights cancel.  Over one common
     denominator D each monomial sums two integers P, Q for (P + Q·√½)/D, in
     the order of its first contraction, and is reduced once."""
     operands = []
-    for c, x, y in products:
+    for c, x, y, sigma in terms:
         (dx, xs), (dy, ys) = x._integer_terms(), y._integer_terms()
         # (xp + xq·s)(yp + yq·s) = (2·xp·yp + xq·yq + 2(xp·yq + xq·yp)·s) / 2
-        operands.append((c.numerator, 2 * dx * dy * c.denominator, xs, ys))
-    d = math.lcm(*[den for _, den, _, _ in operands])
-    ps: dict[tuple[int, int], int] = {}
-    qs: dict[tuple[int, int], int] = {}
-    for num, den, xs, ys in operands:
+        operands.append((c.numerator, 2 * dx * dy * c.denominator, xs, ys, sigma))
+    d = math.lcm(*[den for _, den, _, _, _ in operands])
+    acc: dict[tuple[int, int], list[int]] = {}
+    for num, den, xs, ys, sigma in operands:
         f = num * (d // den)
         for p, q, xp, xq in xs:
             for r, s, yp, yq in ys:
+                # w = w_k(q,r) and v = σ·w_k(s,p), from k = 0, or from k = 1
+                # for a commutator, whose k = 0 weights cancel
+                if sigma == 1:
+                    w, v, low = q * r, s * p, 1
+                    if not (w or v):
+                        continue  # neither order contracts: the terms cancel
+                else:
+                    w, v, low = 1, sigma, 0
+                top = max(min(q, r), min(s, p)) if sigma else min(q, r)
                 cp, cq = (2 * xp * yp + xq * yq) * f, 2 * (xp * yq + xq * yp) * f
-                w = 1
-                for k in range(min(q, r) + 1):
-                    key = (p + r - k, q + s - k)
-                    ps[key] = ps.get(key, 0) + w * cp
-                    qs[key] = qs.get(key, 0) + w * cq
+                for k in range(low, top + 1):
+                    weight = w - v
+                    if weight:
+                        key = (p + r - k, q + s - k)
+                        entry = acc.get(key)
+                        if entry is None:
+                            acc[key] = [weight * cp, weight * cq]
+                        else:
+                            entry[0] += weight * cp
+                            entry[1] += weight * cq
                     w = w * (q - k) * (r - k) // (k + 1)  # w_(k+1) from w_k
+                    v = v * (s - k) * (p - k) // (k + 1)
     return WeylPolynomial._wrap({
-        LadderMonomial._make(key): _reduced(p_num, qs[key], d)
-        for key, p_num in ps.items() if p_num or qs[key]
+        LadderMonomial._make(key): _reduced(p_num, q_num, d)
+        for key, (p_num, q_num) in acc.items() if p_num or q_num
     })
 
 
@@ -359,10 +379,10 @@ def hamiltonian() -> WeylPolynomial:
     return NAMED_CONSTANTS["K3"].poly.scaled(2)
 
 
-# K² = ½(K+K- + K-K+) - K3² as (coefficient, left, right) products; the
-# symbolic and the Fock-space suites both sum them in this order
+# K² = ½(K+K- + K-K+) - K3² as (coefficient, left, right, 0) plain-product
+# terms; the symbolic and the Fock-space suites both sum them in this order
 CASIMIR_PRODUCTS = tuple(
-    (c, NAMED_CONSTANTS[x].poly, NAMED_CONSTANTS[y].poly)
+    (c, NAMED_CONSTANTS[x].poly, NAMED_CONSTANTS[y].poly, 0)
     for c, x, y in (
         (Fraction(1, 2), "K+", "K-"), (Fraction(1, 2), "K-", "K+"), (-1, "K3", "K3")
     )

@@ -234,9 +234,11 @@ def relation_residuals_by_products(dim: int, tolerance: float = 1e-12, relations
     report = VerificationReport()
     for rel in relations:
         diff: dict[int, np.ndarray] = {}
-        for c, x, y in rel.products:
-            for d, band in diagonal_product(matrix(x), matrix(y)).bands.items():
-                diff[d] = diff.get(d, 0) + dtype(c) * band
+        # each term is x·y at weight c, then y·x at weight -σ·c
+        for c, x, y, sigma in rel.products:
+            for w, u, v in ((c, x, y), (-sigma * c, y, x))[: 2 if sigma else 1]:
+                for d, band in diagonal_product(matrix(u), matrix(v)).bands.items():
+                    diff[d] = diff.get(d, 0) + dtype(w) * band
         for d, band in to_matrix(rel.rhs, dim, dtype).bands.items():
             diff[d] = diff.get(d, 0) - band
         diff = {d: np.abs(band) for d, band in diff.items()}

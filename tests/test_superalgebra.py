@@ -26,6 +26,8 @@ from oscalgebra.weyl import (
     IDENTITY,
     NAMED_CONSTANTS,
     WeylPolynomial,
+    commutator,
+    graded_bracket,
     monomial,
     standard_generators,
 )
@@ -255,6 +257,36 @@ def test_closure_brackets_each_pair_once(gens, monkeypatch, seed, mode):
     result = close_under_bracket(seed, mode, 24)
     assert result.generations > 1
     assert calls and max(calls.values()) == 1
+
+
+# The closed basis reads its spans off the closure's own echelon; an echelon
+# rebuilt from the listed elements must give the same answers.
+
+
+@pytest.mark.parametrize(
+    "seed, mode",
+    [
+        (("K3", "Q", "Q†"), "graded"),
+        (("K+", "K-", "K3"), "graded"),
+        (("Q", "Q†"), "graded"),
+        (("Q", "Q†", "1"), "graded"),
+        ((monomial(16, 0), monomial(0, 1)), "commutator-only"),
+    ],
+    ids=["minimal", "so21", "Q,Qdag", "heisenberg", "a16,a"],
+)
+def test_closure_basis_echelon_is_the_rebuilt_one(seed, mode):
+    seed = [NAMED_CONSTANTS[s] if isinstance(s, str) else s for s in seed]
+    shared = close_under_bracket(seed, mode, 24).basis
+    rebuilt = AlgebraBasis(shared.elements)
+    for (_, x), (_, y) in itertools.product(shared, repeat=2):
+        for bracket in (graded_bracket(x, y).poly, commutator(x.poly, y.poly)):
+            assert shared.span_coefficients(bracket) == rebuilt.span_coefficients(bracket)
+    if mode == "graded":
+        assert structure_constants(shared) == structure_constants(rebuilt)
+    else:  # {a, a} = 2·a² escapes a commutator-only closure on both
+        for basis in (shared, rebuilt):
+            with pytest.raises(ValueError, match="bracket of Q and Q escapes"):
+                structure_constants(basis)
 
 
 @settings(max_examples=100, deadline=None)

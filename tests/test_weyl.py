@@ -63,7 +63,7 @@ def test_star_multiplies_polynomials_only(c):
         x * c
     with pytest.raises(TypeError):
         c * x
-    assert x * x == product_sum(((1, x, x),))
+    assert x * x == product_sum(((1, x, x, 0),))
     assert x.scaled(c) == WeylPolynomial({m: coeff * c for m, coeff in x.items()})
 
 
@@ -226,8 +226,8 @@ def test_bracket_relations_take_their_kind_from_parity():
     brackets = [rel for rel in all_relations() if rel.name != CASIMIR_NAME]
     assert len(brackets) == 15
     for rel in brackets:
-        (_, x, y), _ = rel.products
-        assert rel.products == ((1, x, y), (-graded_sign(x.parity(), y.parity()), y, x)), rel.name
+        ((_, x, y, _),) = rel.products
+        assert rel.products == ((1, x, y, graded_sign(x.parity(), y.parity())),), rel.name
         assert rel.name.startswith("{") == (x.parity() == y.parity() == ODD), rel.name
         expected = graded_bracket(GradedElement.of(x), GradedElement.of(y)).poly
         assert rel.lhs() == expected, rel.name
@@ -266,18 +266,42 @@ kernel_coefficients = st.fractions(-6, 6, max_denominator=12).filter(lambda c: c
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.tuples(kernel_coefficients, weyl_polys(), weyl_polys()), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(kernel_coefficients, weyl_polys(), weyl_polys(), st.sampled_from((-1, 0, 1))),
+        min_size=1,
+        max_size=3,
+    ),
     st.integers(0, 2**32 - 1),
 )
-def test_product_sum_matches_rewriting(products, seed):
+def test_product_sum_matches_rewriting(terms, seed):
+    # each term is c·(x·y − σ·y·x): a product, a commutator or an anticommutator
     rng = random.Random(seed)
     expected = sum(
-        (rewrite_multiply(x, y, rng).scaled(c) for c, x, y in products), WeylPolynomial()
+        (
+            (rewrite_multiply(x, y, rng) - rewrite_multiply(y, x, rng).scaled(sigma)).scaled(c)
+            for c, x, y, sigma in terms
+        ),
+        WeylPolynomial(),
     )
-    total = product_sum(products)
+    total = product_sum(terms)
     assert total == expected
     # canonical form without __init__: monomial keys and no zero coefficient
     assert all(type(m) is LadderMonomial and c for m, c in total.items())
+
+
+def test_commutator_terms_cancel_exactly(gens):
+    # [a†⁷, a†⁹]: no annihilator meets a creator in either order, so the
+    # term pair makes no contraction and the k = 0 terms cancel unformed
+    assert product_sum(((1, monomial(7, 0), monomial(9, 0), 1),)).is_zero
+    assert commutator(monomial(0, 7), monomial(0, 9)).is_zero
+    # [a, a†ᵏ] = k·a†ᵏ⁻¹: only the single contraction survives
+    for k in range(1, 17):
+        assert product_sum(((1, A, monomial(k, 0), 1),)) == monomial(k - 1, 0, k), k
+        assert commutator(A, monomial(k, 0)) == monomial(k - 1, 0, k), k
+    # {Q, Q} = 2·K- through σ = -1: the k = 0 terms add up instead
+    q = gens["Q"].poly
+    assert product_sum(((1, q, q, -1),)) == gens["K-"].poly.scaled(2)
+    assert anticommutator(q, q) == gens["K-"].poly.scaled(2)
 
 
 @settings(max_examples=60, deadline=None)
