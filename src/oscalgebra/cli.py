@@ -49,6 +49,7 @@ from .report import (
     identity_check,
     informational,
 )
+from .scalar import render_sum
 from .superalgebra import (
     COMMUTATOR_ONLY,
     GRADED,
@@ -262,12 +263,6 @@ def cmd_orbit(config: RunConfig) -> CommandResult:
 # -- structure constants -----------------------------------------------------------
 
 
-def _combination(coefficients: dict[str, str]) -> str:
-    unit = {"1": "", "-1": "-"}
-    parts = [f"{unit.get(c, f'{c}·')}{name}" for name, c in coefficients.items()]
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
 def cmd_structure(config: RunConfig) -> CommandResult:
     sc = structure_constants(_osp_basis())
     kinds = sc.kinds
@@ -294,7 +289,7 @@ def cmd_structure(config: RunConfig) -> CommandResult:
             for right in sc.names[i:]:
                 entry = tensor[left][right]
                 open_b, close_b = "{}" if entry["kind"] == ANTICOMMUTATOR else "[]"
-                value = _combination(entry["coefficients"])
+                value = render_sum((c, name) for name, c in entry["coefficients"].items())
                 lines.append(f"  {open_b}{left},{right}{close_b} = {value}")
         return lines + [
             "  (commutator pairs: the reversed bracket is the negative;"

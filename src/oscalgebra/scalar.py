@@ -15,6 +15,8 @@ read them; each read builds them from the three ints.
 Exact input has one door, `Scalar(a, b)`, which mixed arithmetic and the
 polynomial and amplitude constructors share: a `numbers.Rational` (numpy
 integers included) enters as Python ints; anything else raises `TypeError`.
+Printed sums have one renderer, `render_sum`: scalars, amplitudes,
+polynomials and structure rows all print as Σ c·s through it.
 """
 
 from __future__ import annotations
@@ -31,19 +33,25 @@ def _ratio(value) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def render_sum(terms) -> str:
+    """Text of Σ c·s from (coefficient text, symbol text) pairs; the symbol ""
+    is the unit, and a coefficient with a space is bracketed."""
+    parts = []
+    for c, s in terms:
+        if not s:
+            parts.append(c)
+        elif c == "1":
+            parts.append(s)
+        elif c == "-1":
+            parts.append(f"-{s}")
+        else:
+            parts.append(f"({c})·{s}" if " " in c else f"{c}·{s}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
 def render_radicals(terms) -> str:
     """Text of Σ c·√k from (radicand, nonzero coefficient) pairs."""
-    parts = []
-    for k, c in terms:
-        if k == 1:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(f"√{k}")
-        elif c == -1:
-            parts.append(f"-√{k}")
-        else:
-            parts.append(f"{c}·√{k}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    return render_sum((str(c), "" if k == 1 else f"√{k}") for k, c in terms)
 
 
 class Scalar:
@@ -71,10 +79,6 @@ class Scalar:
     @property
     def is_zero(self) -> bool:
         return not self._p and not self._q
-
-    @property
-    def is_rational(self) -> bool:
-        return not self._q
 
     def as_fraction(self) -> Fraction:
         if self._q:
@@ -204,5 +208,4 @@ def _sum(x: Scalar, p: int, q: int, d: int) -> Scalar:
 
 
 ZERO = Scalar(0)
-ONE = Scalar(1)
 ROOT_HALF = Scalar(0, 1)

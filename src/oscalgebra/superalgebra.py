@@ -264,10 +264,6 @@ class StructureConstants:
     tensor: tuple[tuple[tuple[Scalar, ...], ...], ...]
 
     @property
-    def dim(self) -> int:
-        return len(self.names)
-
-    @property
     def kinds(self) -> tuple[tuple[str, ...], ...]:
         """kinds[i][j]: which bracket [eᵢ, eⱼ} is, read off the parities."""
         return tuple(
@@ -328,7 +324,7 @@ def jacobi_from_constants(sc: StructureConstants) -> VerificationReport:
     """Same identity evaluated purely through the structure-constant tensor,
     so a corrupted tensor is caught even though the realization is exact."""
     report = VerificationReport()
-    n = sc.dim
+    n = len(sc.names)
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
         s1 = graded_sign(sc.parities[i], sc.parities[k])
         s2 = graded_sign(sc.parities[j], sc.parities[i])

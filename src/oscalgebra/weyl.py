@@ -41,7 +41,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .scalar import ROOT_HALF, ZERO, Scalar, _reduced
+from .scalar import ROOT_HALF, ZERO, Scalar, _reduced, render_sum
 
 EVEN = 0
 ODD = 1
@@ -213,21 +213,8 @@ class WeylPolynomial:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for mono, c in sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0])):
-            cs = str(c)
-            if mono == LadderMonomial(0, 0):
-                text = cs
-            elif cs == "1":
-                text = str(mono)
-            elif cs == "-1":
-                text = f"-{mono}"
-            else:
-                text = f"({cs})·{mono}" if (" " in cs) else f"{cs}·{mono}"
-            chunks.append(text)
-        return " + ".join(chunks).replace("+ -", "- ")
+        terms = sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0]))
+        return render_sum((str(c), "" if m == (0, 0) else str(m)) for m, c in terms)
 
     def __repr__(self) -> str:
         return f"<WeylPolynomial {self}>"

@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oscalgebra.fock import _scalar_value
-from oscalgebra.scalar import ONE, ROOT_HALF, ZERO, Scalar
+from oscalgebra.scalar import ROOT_HALF, ZERO, Scalar
 from strategies import nonzero_scalars, scalars
+
+ONE = Scalar(1)
 
 
 def test_root_half_squares_to_half():
@@ -22,7 +24,6 @@ def test_float_value():
 
 def test_rational_accessors():
     assert Scalar(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
-    assert ROOT_HALF.is_rational is False
     with pytest.raises(ValueError):
         ROOT_HALF.as_fraction()
 

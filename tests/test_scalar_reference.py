@@ -39,7 +39,11 @@ def check_same(x: Scalar, ref: FractionScalar) -> None:
     value, expected = float(x), float(ref)
     assert value == expected and math.copysign(1, value) == math.copysign(1, expected)
     assert bool(x) is bool(ref) is not x.is_zero
-    assert x.is_rational is (not ref.b)
+    if not ref.b:
+        assert x.as_fraction() == ref.a
+    else:
+        with pytest.raises(ValueError):
+            x.as_fraction()
 
 
 def both(pair):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ladder_oracles import rewrite_multiply
 from oscalgebra.relations import CASIMIR_NAME, all_relations, casimir_commutation_checks
-from oscalgebra.scalar import ROOT_HALF
+from oscalgebra.scalar import ROOT_HALF, Scalar, render_sum
 from oscalgebra.weyl import (
     A,
     ADAG,
@@ -377,3 +377,43 @@ def test_product_matches_sympy_normal_ordering():
                     p += int(exp)
             expected[(p, q)] = expected.get((p, q), 0) + coeff
         assert product == WeylPolynomial(expected)
+
+
+# -- printing: the shared sum renderer against the loop it replaced -------------
+
+
+def _reference_str(x: WeylPolynomial) -> str:
+    """WeylPolynomial's own renderer before every printed sum shared one."""
+    if x.is_zero:
+        return "0"
+    chunks = []
+    for mono, c in sorted(x.items(), key=lambda kv: (kv[0].degree, kv[0].p)):
+        cs = str(c)
+        if mono == LadderMonomial(0, 0):
+            text = cs
+        elif cs == "1":
+            text = str(mono)
+        elif cs == "-1":
+            text = f"-{mono}"
+        else:
+            text = f"({cs})·{mono}" if (" " in cs) else f"{cs}·{mono}"
+        chunks.append(text)
+    return " + ".join(chunks).replace("+ -", "- ")
+
+
+@given(weyl_polys())
+def test_str_matches_reference(x):
+    assert str(x) == _reference_str(x)
+
+
+def test_str_examples(gens):
+    assert str(WeylPolynomial()) == "0"
+    assert str(IDENTITY) == "1"
+    assert str(-IDENTITY) == "-1"
+    assert str(gens["K3"].poly) == "1/4 + 1/2·a†·a"
+    assert str(ADAG.scaled(Scalar(1, 1))) == "(1 + 1/2·√2)·a†"
+
+
+def test_structure_row_brackets_a_compound_coefficient():
+    row = render_sum([("1 + 1/2·√2", "G0"), ("-1", "K3")])
+    assert row == "(1 + 1/2·√2)·G0 - K3"
