@@ -3,7 +3,10 @@
 Ladder actions produce amplitudes like √n and ½√((n+1)(n+2)).  Keeping them
 as rational coefficients attached to square-free integer radicands gives
 exact values and an exact zero test (the term list is empty).  The orbit
-partition reads none of them: its edges are `fock.act`'s nonzero offsets.
+partition reads only their targets: `fock.orbit` builds one amplitude per
+edge through `ladder_amplitude` and keeps its key, one of `fock.act`'s nonzero
+offsets shifted by n.  Reading the edges off `act` directly removes that
+construction; it is ROADMAP item 6, which waits for item 1's child-RSS fix.
 
 `root_sum` is the one normaliser: it splits each positive factor with
 `square_free` and merges a running square-free radicand without factoring

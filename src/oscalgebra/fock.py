@@ -18,7 +18,9 @@ its terms in a fixed order (see `padded_product`), so no residual digit moves.
 
 Exactly, x|n⟩ = Σ_d √ρ_d(n)·S_d(n)|n+d⟩ with ρ_d(n) the product of the integers
 from min(n, n+d)+1 to max(n, n+d) and S_d(n) in Q(√½), one sum per offset (`act`).
-The orbit's edges n → n+d are its nonzero offsets, so no float enters them.
+The orbit's edges n → n+d are its nonzero offsets, so no float enters them,
+and H = a†a + ½ has the one offset 0 with S_0(n) = n + ½: the energies
+ħω(n+½) of `spectrum` are that closed form, built without a matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .amplitudes import ExactAmplitude
 from .relations import all_relations
 from .report import VerificationReport, numeric_check
 from .scalar import ZERO, Scalar, _reduced
-from .weyl import NAMED_CONSTANTS, as_poly, hamiltonian
+from .weyl import NAMED_CONSTANTS, as_poly
 
 
 @dataclass(frozen=True)
@@ -107,18 +109,18 @@ def to_matrix(x, dim: int, dtype=np.float64) -> FockOperator:
 
 
 def spectrum(dim: int, hbar_omega: float = 1.0) -> list[float]:
-    """Oscillator energies ħω(n+½), n < dim, read off the Hamiltonian's
-    diagonal (it has no other band, so no eigensolver is involved)."""
+    """Oscillator energies ħω(n+½), n < dim, in closed form: H = a†a + ½ acts
+    on |n⟩ as n + ½ (`act`), held exactly in float64 for any n below 2**52,
+    so no matrix and no eigensolver is involved."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     # a finite ħω can still overflow the top energy ħω·(dim - ½)
-    if not (hbar_omega > 0 and np.isfinite(hbar_omega * (dim - 0.5))):
+    if not (hbar_omega > 0 and math.isfinite(hbar_omega * (dim - 0.5))):
         raise ValueError(
             f"ħω must be positive and the top energy ħω·(dim - ½) finite; "
             f"got ħω={hbar_omega:g}, dim={dim}"
         )
-    diagonal = to_matrix(hamiltonian(), dim).bands[0]
-    return [float(hbar_omega) * float(e) for e in diagonal]
+    return [float(hbar_omega) * (n + 0.5) for n in range(dim)]
 
 
 def parity_matrix(dim: int) -> FockOperator:

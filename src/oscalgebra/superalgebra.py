@@ -1,12 +1,11 @@
 """Graded-basis bookkeeping: bracket closure, structure constants, Jacobi.
 
 All linear algebra runs through one incremental echelon over the exact
-coefficient field Q(√½), with rows keyed by leading monomial in the (total
-degree, creation exponent) order, so span decisions are deterministic: no
-numeric rank thresholds anywhere.  Bracket closure keeps one echelon across
-all sweeps and brackets only the pairs that involve an element new since the
-previous sweep, reducing each bracket once; the closed basis reads its
-spans off that same echelon.
+coefficient field Q(√½), pivoting on each vector's largest key, so span
+decisions are exact: no numeric rank thresholds anywhere.  Bracket closure
+keeps one echelon across all sweeps and brackets only the pairs that involve
+an element new since the previous sweep, reducing each bracket once; the
+closed basis reads its spans off that same echelon.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from .weyl import (
     COMMUTATOR,
     NAMED_CONSTANTS,
     GradedElement,
-    LadderMonomial,
     WeylPolynomial,
-    _canonical_key,
     canonical_name,
     commutator,
     graded_bracket,
@@ -51,47 +48,48 @@ class ClosureOverflowError(RuntimeError):
 
 
 class Echelon:
-    """Incremental row echelon form over Q(√½), keyed by leading monomial.
+    """Incremental row echelon form over Q(√½) of mappings from ordered keys
+    to `Scalar`s, polynomials keyed by monomial among them.
 
-    Each row is normalised to leading coefficient 1, its leading monomial is
-    the largest in `_canonical_key` order, and no two rows share one; so any
-    nonzero element of the span leads with some row's monomial.  Each row
-    also carries its expansion in the inserted polynomials, so the reduction
-    that decides membership also yields the exact span coefficients.
+    Each row is normalised to leading coefficient 1, its lead is its largest
+    key, and no two rows share one; so any nonzero element of the span leads
+    with some row's key.  Each row also carries its expansion in the inserted
+    vectors, so the reduction that decides membership also yields the exact
+    span coefficients, which do not depend on the pivot order.
     """
 
     def __init__(self):
         # lead -> (terms, {insertion index: coefficient})
-        self._rows: dict[LadderMonomial, tuple[dict, dict[int, Scalar]]] = {}
+        self._rows = {}
 
-    def _reduce(self, poly: WeylPolynomial):
-        """Subtract rows from poly, largest leading monomial first, until it
-        vanishes or leads with a monomial no row has.  Returns the remainder,
-        its leading monomial (None if zero) and the (factor, row) pairs used."""
-        rest = dict(poly.items())
+    def _reduce(self, vector):
+        """Subtract rows from vector, largest lead first, until it vanishes or
+        leads with a key no row has.  Returns the remainder, its lead (None
+        if zero) and the (factor, row) pairs used."""
+        rest = dict(vector.items())
         used = []
         while rest:
-            lead = max(rest, key=_canonical_key)
+            lead = max(rest)
             row = self._rows.get(lead)
             if row is None:
                 return rest, lead, used
             factor = rest[lead]
             used.append((factor, row))
             fp, fq, fd = factor._p, factor._q, factor._d
-            for mono, c in row[0].items():
-                # rest[mono] - factor·c over one denominator, reduced once,
+            for key, c in row[0].items():
+                # rest[key] - factor·c over one denominator, reduced once,
                 # with factor·c = (mp + mq·√½)/md
                 cp, cq, cd = c._p, c._q, c._d
                 if fq and cq:
                     mp, mq, md = 2 * fp * cp + fq * cq, 2 * (fp * cq + fq * cp), 2 * fd * cd
                 else:
                     mp, mq, md = fp * cp, fp * cq + fq * cp, fd * cd
-                r = rest.get(mono, ZERO)
+                r = rest.get(key, ZERO)
                 p, q = r._p * md - mp * r._d, r._q * md - mq * r._d
                 if p or q:
-                    rest[mono] = _reduced(p, q, r._d * md)
+                    rest[key] = _reduced(p, q, r._d * md)
                 else:
-                    del rest[mono]
+                    del rest[key]
         return rest, None, used
 
     @staticmethod
@@ -102,9 +100,9 @@ class Echelon:
                 coeffs[k] = coeffs[k] + factor * c
         return coeffs
 
-    def add(self, poly: WeylPolynomial) -> bool:
-        """Insert poly; False (and no change) if it already lies in the span."""
-        rest, lead, used = self._reduce(poly)
+    def add(self, vector) -> bool:
+        """Insert vector; False (and no change) if it already lies in the span."""
+        rest, lead, used = self._reduce(vector)
         if lead is None:
             return False
         n = len(self._rows)
@@ -114,9 +112,9 @@ class Echelon:
         self._rows[lead] = ({m: c * inv for m, c in rest.items()}, expansion)
         return True
 
-    def coefficients(self, poly: WeylPolynomial) -> list[Scalar] | None:
-        """Expansion of poly in the inserted polynomials, or None if outside."""
-        rest, _, used = self._reduce(poly)
+    def coefficients(self, vector) -> list[Scalar] | None:
+        """Expansion of vector in the inserted vectors, or None if outside."""
+        rest, _, used = self._reduce(vector)
         if rest:
             return None
         return self._expansion(used, len(self._rows))

@@ -83,11 +83,6 @@ class LadderMonomial(NamedTuple):
         return "·".join(part)
 
 
-def _canonical_key(m: LadderMonomial) -> tuple[int, int]:
-    """Display / coordinate ordering: total degree, then creation exponent."""
-    return (m.degree, m.p)
-
-
 class WeylPolynomial:
     """Finite Q(√½)-linear combination of normal-ordered ladder monomials.
 
@@ -213,7 +208,7 @@ class WeylPolynomial:
         return self._hash
 
     def __str__(self) -> str:
-        terms = sorted(self._terms.items(), key=lambda kv: _canonical_key(kv[0]))
+        terms = sorted(self._terms.items(), key=lambda kv: (kv[0].degree, kv[0].p))
         return render_sum((str(c), "" if m == (0, 0) else str(m)) for m, c in terms)
 
     def __repr__(self) -> str:

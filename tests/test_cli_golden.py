@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from oscalgebra import fock
 from oscalgebra.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -95,6 +96,17 @@ def test_large_output_matches_digest(name, fmt, capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == LARGE_DIGESTS[name, fmt]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_spectrum_builds_no_float_band(fmt, capsys, monkeypatch):
+    # the energies are ħω(n+½) in closed form: no band and no matrix is built
+    def unused(*args, **kwargs):
+        raise AssertionError("spectrum built a float band")
+
+    monkeypatch.setattr(fock, "_band_builder", unused)
+    monkeypatch.setattr(fock, "to_matrix", unused)
+    test_large_output_matches_digest("spectrum_dim3000", fmt, capsys)
 
 
 def test_masking_keeps_exact_entries():

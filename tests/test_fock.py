@@ -161,6 +161,14 @@ def test_spectrum_exact_and_equally_spaced():
     assert all(b - a == 1.0 for a, b in zip(energies, energies[1:]))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2999, 999999])
+def test_spectrum_is_the_exact_action_of_h(n):
+    # H|n⟩ = (n + ½)|n⟩ exactly, and the closed-form energy is that value
+    energy = Fraction(2 * n + 1, 2)
+    assert act(hamiltonian(), n) == {0: Scalar(energy)}
+    assert spectrum(n + 1, 1)[n] == float(energy)
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         spectrum(0, 1)

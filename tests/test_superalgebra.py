@@ -289,6 +289,27 @@ def test_closure_basis_echelon_is_the_rebuilt_one(seed, mode):
                 structure_constants(basis)
 
 
+def test_echelon_solves_int_keyed_vectors():
+    # the echelon pivots on the keys' own order, so vectors keyed by index
+    # (as coordinates in a basis are) use the same exact reduction
+    r = Scalar(0, 1)  # √½
+    v0 = {0: Scalar(1), 2: r}
+    v1 = {1: Scalar(Fraction(3, 2)), 2: Scalar(-1)}
+    v2 = {0: Scalar(2), 1: Scalar(0, Fraction(-3, 2)), 2: Scalar(0, 3)}  # 2·v0 − √½·v1
+    echelon = superalgebra.Echelon()
+    assert [echelon.add(v) for v in (v0, v1, v2)] == [True, True, False]
+    for v in (v0, v1, v2):
+        coeffs = echelon.coefficients(v)
+        rebuilt = collections.defaultdict(Scalar)
+        for c, u in zip(coeffs, (v0, v1)):
+            for key, x in u.items():
+                rebuilt[key] = rebuilt[key] + c * x
+        assert {k: x for k, x in rebuilt.items() if x} == v
+    assert echelon.coefficients(v2) == [Scalar(2), -r]
+    assert echelon.coefficients({0: Scalar(1)}) is None
+    assert echelon.coefficients({3: Scalar(1)}) is None
+
+
 @settings(max_examples=100, deadline=None)
 @given(graded_elements(), graded_elements())
 def test_commutator_only_bracket_keeps_declared_parity(x, y):
